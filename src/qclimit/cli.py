@@ -485,6 +485,29 @@ def _float_list(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
+def _positive_float_list(text: str) -> tuple:
+    """argparse type: comma-separated finite values > 0."""
+    try:
+        values = _float_list(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
+    for v in values:
+        if not 0.0 < v < math.inf:
+            raise argparse.ArgumentTypeError(f"{v:g} is not a finite positive value")
+    return values
+
+
+def _positive_rational(text: str) -> Fraction:
+    """argparse type: an exact rational > 0, such as 1/10 or 0.25."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an exact finite rational") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
 def cmd_algebra_verify(args) -> list[CheckRecord]:
     table = lie_core.build_standard_algebra(args.builtin)
     eps = _float_list(args.eps) if args.eps else ACCEPT_EPS
@@ -670,10 +693,9 @@ def cmd_star_bracket(args) -> list[CheckRecord]:
     g = star_product.from_text(1, args.g)
     bracket = star_product.moyal_bracket(f, g)
     print(f"moyal_bracket({args.f}, {args.g}) = {bracket.to_text()}")
-    if args.hbar:
-        value = Fraction(args.hbar)
-        fixed = bracket.substitute_hbar(value)
-        print(f"at hbar = {value}: {fixed.to_text()}")
+    if args.hbar is not None:
+        fixed = bracket.substitute_hbar(args.hbar)
+        print(f"at hbar = {args.hbar}: {fixed.to_text()}")
 
     x = star_product.PhasePolynomial.variable(1, "x")
     p = star_product.PhasePolynomial.variable(1, "p")
@@ -708,7 +730,7 @@ def cmd_star_limit_sweep(args) -> list[CheckRecord]:
     f = star_product.from_text(1, args.f)
     g = star_product.from_text(1, args.g)
     sweep = star_product.classical_limit_sweep(
-        f, g, hbar_values=_float_list(args.hbar), seed=args.seed
+        f, g, hbar_values=args.hbar, seed=args.seed
     )
     for r in sweep["records"]:
         print(f"hbar={r['hbar']:g}: max bracket deviation {r['max_abs_err']:.6g}")
@@ -817,7 +839,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--f", default="x^3")
     s.add_argument("--g", default="p^3")
-    s.add_argument("--hbar", default=None, help="rational value to substitute")
+    s.add_argument("--hbar", type=_positive_rational, default=None, help="rational value > 0 to substitute")
     s.set_defaults(func=cmd_star_bracket)
 
     s = sub.add_parser(
@@ -825,7 +847,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--f", default="x^3")
     s.add_argument("--g", default="p^3")
-    s.add_argument("--hbar", default="1e-1,1e-2,1e-3")
+    s.add_argument(
+        "--hbar", type=_positive_float_list, default="1e-1,1e-2,1e-3", help="comma-separated values > 0"
+    )
     s.set_defaults(func=cmd_star_limit_sweep)
 
     s = sub.add_parser(

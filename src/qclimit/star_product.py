@@ -12,7 +12,18 @@ The product implemented is
             (d_x^a d_p^b f) (d_p^a d_x^b g)
 
 whose antisymmetric part, divided by i hbar, reduces to the Poisson bracket
-as hbar -> 0.
+as hbar -> 0.  On monomials the sum closes (Groenewold 1946; Moyal 1949):
+on one axis
+
+    x^a p^b * x^c p^d = sum over j, l of
+            (i hbar / 2)^(j+l) (-1)^l C(a, j) (d)_j C(b, l) (c)_l
+            x^(a-j+c-l) p^(b-l+d-j)
+
+with (d)_j = d! / (d-j)!; over several axes the product of two monomials
+is the product of the per-axis sums.  `star` applies this to every pair of terms.
+It carries coefficients as integer (re, im) numerators over one common
+denominator, lcm(denominators of f) * lcm(denominators of g) * 2^top, and
+builds the Fraction coefficients only once, when the result terms are made.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,10 +78,6 @@ class CRat:
 
 CRAT_ZERO = CRat()
 CRAT_ONE = CRat(Fraction(1))
-
-
-def _i_power(n: int) -> CRat:
-    return (CRAT_ONE, CRat(im=Fraction(1)), CRat(re=Fraction(-1)), CRat(im=Fraction(-1)))[n % 4]
 
 
 class PhasePolynomial:
@@ -185,9 +193,6 @@ class PhasePolynomial:
 
     def degree_in(self, slot: int) -> int:
         return max((k[slot] for k in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(k[:-1]) for k in self.terms), default=0)
 
     def shift_hbar(self, amount: int) -> "PhasePolynomial":
         out = {}
@@ -336,60 +341,88 @@ def from_text(dims: int, text: str) -> PhasePolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _derivative_table(poly: PhasePolynomial, first_slots, second_slots, bounds_first, bounds_second):
-    """All iterated derivatives d^a(first slots) d^b(second slots) of poly."""
-    table = {((0,) * len(first_slots), (0,) * len(second_slots)): poly}
+@lru_cache(maxsize=1 << 14)
+def _axis_star(a: int, b: int, c: int, d: int) -> tuple:
+    """x^a p^b * x^c p^d on one axis, without the factor (i hbar / 2)^n.
 
-    def get(a, b):
-        if (a, b) in table:
-            return table[(a, b)]
-        for i, e in enumerate(a):
-            if e > 0:
-                prev = get(tuple(v - (1 if j == i else 0) for j, v in enumerate(a)), b)
-                out = prev.diff(first_slots[i])
-                break
-        else:
-            for i, e in enumerate(b):
-                if e > 0:
-                    prev = get(a, tuple(v - (1 if j == i else 0) for j, v in enumerate(b)))
-                    out = prev.diff(second_slots[i])
-                    break
-        table[(a, b)] = out
-        return out
+    Entries are (x exponent, p exponent, order n = j + l, integer
+    (-1)^l C(a, j) (d)_j C(b, l) (c)_l), with (d)_j the falling factorial.
+    """
+    return tuple(
+        (
+            a - j + c - l,
+            b - l + d - j,
+            j + l,
+            (-1) ** l * math.comb(a, j) * math.perm(d, j) * math.comb(b, l) * math.perm(c, l),
+        )
+        for j in range(min(a, d) + 1)
+        for l in range(min(b, c) + 1)
+    )
 
-    for a in itertools.product(*(range(n + 1) for n in bounds_first)):
-        for b in itertools.product(*(range(n + 1) for n in bounds_second)):
-            get(a, b)
-    return table
+
+def _monomial_star(f_key: tuple, g_key: tuple, dims: int) -> list:
+    """Per-axis expansions multiplied across axes: (x and p exponents, n, integer)."""
+    out = [((), (), 0, 1)]
+    for axis in range(dims):
+        table = _axis_star(f_key[axis], f_key[dims + axis], g_key[axis], g_key[dims + axis])
+        out = [
+            (xs + (xe,), ps + (pe,), n + m, c * e)
+            for xs, ps, n, c in out
+            for xe, pe, m, e in table
+        ]
+    return [(xs + ps, n, c) for xs, ps, n, c in out]
+
+
+def _integer_numerators(poly: PhasePolynomial) -> tuple:
+    """(D, [(key, re * D, im * D)]) with D the lcm of every coefficient denominator."""
+    den = math.lcm(*(q.denominator for c in poly.terms.values() for q in (c.re, c.im)))
+    return den, [
+        (key, c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for key, c in poly.terms.items()
+    ]
 
 
 def star(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """Associative deformed product; noncommutative at order hbar."""
+    """Associative deformed product; noncommutative at order hbar.
+
+    Integer (re, im) numerators accumulate over the common denominator
+    D_f D_g 2^top, where top bounds the order n of every correction.
+    """
     f._check(g)
     d = f.dims
-    x_slots = list(range(d))
-    p_slots = list(range(d, 2 * d))
-    a_bounds = [min(f.degree_in(x_slots[i]), g.degree_in(p_slots[i])) for i in range(d)]
-    b_bounds = [min(f.degree_in(p_slots[i]), g.degree_in(x_slots[i])) for i in range(d)]
-
-    f_table = _derivative_table(f, x_slots, p_slots, a_bounds, b_bounds)
-    g_table = _derivative_table(g, p_slots, x_slots, a_bounds, b_bounds)
-
-    total = PhasePolynomial.zero(d)
-    for a in itertools.product(*(range(n + 1) for n in a_bounds)):
-        for b in itertools.product(*(range(n + 1) for n in b_bounds)):
-            df = f_table[(a, b)]
-            dg = g_table[(a, b)]
-            if df.is_zero or dg.is_zero:
-                continue
-            order = sum(a) + sum(b)
-            scale = Fraction(
-                (-1) ** sum(b),
-                2**order * math.prod(math.factorial(e) for e in a + b),
-            )
-            coeff = _i_power(order).scale(scale)
-            total = total + (df * dg).scale(coeff).shift_hbar(order)
-    return total
+    top = sum(
+        min(f.degree_in(i), g.degree_in(d + i)) + min(f.degree_in(d + i), g.degree_in(i))
+        for i in range(d)
+    )
+    f_den, f_terms = _integer_numerators(f)
+    g_den, g_terms = _integer_numerators(g)
+    acc = {}
+    for f_key, fr, fi in f_terms:
+        for g_key, gr, gi in g_terms:
+            re, im = fr * gr - fi * gi, fr * gi + fi * gr
+            # (re + i im) * i^n, indexed by n mod 4
+            turns = ((re, im), (-im, re), (-re, -im), (im, -re))
+            hbar = f_key[-1] + g_key[-1]
+            for xp, n, c in _monomial_star(f_key, g_key, d):
+                tr, ti = turns[n & 3]
+                # (i hbar / 2)^n = i^n hbar^n 2^(top - n) / 2^top
+                c <<= top - n
+                key = xp + (hbar + n,)
+                entry = acc.get(key)
+                if entry is None:
+                    acc[key] = [c * tr, c * ti]
+                else:
+                    entry[0] += c * tr
+                    entry[1] += c * ti
+    den = (f_den * g_den) << top
+    return PhasePolynomial(
+        d,
+        {
+            key: CRat(Fraction(re, den), Fraction(im, den))
+            for key, (re, im) in acc.items()
+            if re or im
+        },
+    )
 
 
 def moyal_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
@@ -408,14 +441,6 @@ def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
     for i in range(d):
         out = out + f.diff(i) * g.diff(d + i) - f.diff(d + i) * g.diff(i)
     return out
-
-
-def left_star_action(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    return star(f, g)
-
-
-def right_star_action(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    return star(g, f)
 
 
 def monomial_basis(dims: int, max_degree: int):
@@ -444,10 +469,10 @@ def canonical_commutator_check(dims: int, max_degree: int) -> dict:
 
 
 def generator_identity_defect(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """L_f(g) - R_f(g) - i hbar {f, g}_moyal; identically zero by construction."""
+    """f*g - g*f - i hbar {f, g}_moyal; identically zero by construction."""
     hbar = PhasePolynomial.variable(f.dims, "hbar")
     bracket = moyal_bracket(f, g)
-    return left_star_action(f, g) - right_star_action(f, g) - (hbar * bracket).scale(
+    return star(f, g) - star(g, f) - (hbar * bracket).scale(
         CRat(im=Fraction(1))
     )
 
@@ -467,21 +492,24 @@ def classical_limit_sweep(
 ) -> dict:
     """Deviation of the deformed bracket from the Poisson bracket at sample
     points, with the log-log convergence slope (2 when the first correction
-    survives)."""
+    survives).  A NaN error at any hbar makes the slope NaN."""
     mb = moyal_bracket(f, g)
     pb = poisson_bracket(f, g)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-box, box, size=(n_points, 2 * f.dims))
     records = []
     for hb in hbar_values:
-        err = 0.0
+        errs = []
         for row in pts:
             xs, ps = row[: f.dims], row[f.dims :]
-            err = max(err, abs(mb.evaluate(xs, ps, hb) - pb.evaluate(xs, ps, 0.0)))
-        records.append({"hbar": float(hb), "max_abs_err": err})
+            errs.append(abs(mb.evaluate(xs, ps, hb) - pb.evaluate(xs, ps, 0.0)))
+        # np.max, unlike max(), propagates NaN
+        records.append({"hbar": float(hb), "max_abs_err": float(np.max(errs))})
     usable = [(r["hbar"], r["max_abs_err"]) for r in records if r["max_abs_err"] > 0.0]
     slope = None
-    if len(usable) >= 2:
+    if any(math.isnan(r["max_abs_err"]) for r in records):
+        slope = math.nan
+    elif len(usable) >= 2:
         hs, es = zip(*usable)
         slope = float(np.polyfit(np.log(hs), np.log(es), 1)[0])
     return {"records": records, "slope": slope}
@@ -513,7 +541,7 @@ def harmonic_evolution_check(t_values=(math.pi / 4, math.pi / 2, math.pi), dt: f
     # generator matrix for d/dt (a, b) with x_t = a x + b p
     gen = np.array([[gx[0].real, gp[0].real], [gx[1].real, gp[1].real]])
 
-    worst = 0.0
+    errors = []
     for t in t_values:
         steps = max(1, int(round(t / dt)))
         step = t / steps
@@ -524,9 +552,10 @@ def harmonic_evolution_check(t_values=(math.pi / 4, math.pi / 2, math.pi), dt: f
             k3 = gen @ (y + 0.5 * step * k2)
             k4 = gen @ (y + step * k3)
             y = y + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        worst = max(worst, abs(y[0] - math.cos(t)), abs(y[1] - math.sin(t)))
+        errors += [abs(y[0] - math.cos(t)), abs(y[1] - math.sin(t))]
+    # np.max, unlike max(), propagates NaN
     return {
         "quadratic_flow_has_no_corrections": quadratic_exact,
         "closes_on_linear_span": closes,
-        "max_coefficient_error": worst,
+        "max_coefficient_error": np.max(errors),
     }

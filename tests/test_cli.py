@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from qclimit import cli, contraction_lab
 
@@ -124,6 +125,29 @@ def test_star_limit_sweep_quadratic_pair_empty_report(tmp_path):
     assert code == 0
     assert report["checks"] == []
     assert report["summary"] == {"total": 0, "passed": 0, "failed": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("star-limit-sweep", "--hbar", "0,0.1"), "0 is not a finite positive value"),
+        (("star-limit-sweep", "--hbar", "nan,1e-2,1e-3"), "nan is not a finite positive value"),
+        (("star-limit-sweep", "--hbar", "1e-2,inf"), "inf is not a finite positive value"),
+        (("star-limit-sweep", "--hbar", "1e-2,x"), "'1e-2,x' is not a comma-separated list of numbers"),
+        (("star-bracket", "--hbar", "1/0"), "'1/0' is not an exact finite rational"),
+        (("star-bracket", "--hbar", "nan"), "'nan' is not an exact finite rational"),
+        (("star-bracket", "--hbar=-1/2"), "-1/2 is not positive"),
+        (("star-bracket", "--hbar", "0"), "0 is not positive"),
+    ],
+)
+def test_star_hbar_rejected_at_parser(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --hbar: {message}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_report.json"))
 
 
 def test_flow_check_short_run(tmp_path):

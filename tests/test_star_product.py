@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -44,6 +45,45 @@ def _random_poly(rng, dims=1, max_degree=4, n_terms=4, allow_hbar=False):
         coeff = CRat(Fraction(int(rng.integers(-3, 4))), Fraction(int(rng.integers(-2, 3))))
         terms[key] = terms.get(key, CRat()) + coeff
     return PhasePolynomial(dims, terms)
+
+
+def _rational_poly(rng, dims, max_degree, n_terms):
+    """Terms with distinct coefficient denominators and hbar exponents 0 to 2."""
+    dens = rng.permutation([2, 3, 4, 5, 7, 9, 11, 13])
+    terms = {}
+    for t in range(n_terms):
+        while True:
+            exps = rng.integers(0, max_degree + 1, size=2 * dims)
+            if exps.sum() <= max_degree:
+                break
+        key = tuple(int(e) for e in exps) + (int(rng.integers(0, 3)),)
+        terms[key] = CRat(
+            Fraction(int(rng.integers(-9, 10)), int(dens[t])),
+            Fraction(int(rng.integers(-9, 10)), int(dens[-1 - t])),
+        )
+    return PhasePolynomial(dims, terms)
+
+
+def _reference_star(f, g):
+    """The module docstring's derivative sum, evaluated with PhasePolynomial.diff."""
+    d = f.dims
+    bounds = [min(f.degree_in(i), g.degree_in(d + i)) for i in range(d)]
+    bounds += [min(f.degree_in(d + i), g.degree_in(i)) for i in range(d)]
+    total = PhasePolynomial.zero(d)
+    for ab in itertools.product(*(range(n + 1) for n in bounds)):
+        a, b = ab[:d], ab[d:]
+        df, dg = f, g
+        for i in range(d):
+            for _ in range(a[i]):
+                df, dg = df.diff(i), dg.diff(d + i)
+            for _ in range(b[i]):
+                df, dg = df.diff(d + i), dg.diff(i)
+        order = sum(ab)
+        coeff = CRat(Fraction((-1) ** sum(b), 2**order * math.prod(math.factorial(e) for e in ab)))
+        for _ in range(order):
+            coeff = coeff.times_i()
+        total = total + (df * dg).scale(coeff).shift_hbar(order)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +173,20 @@ def test_cubic_bracket_correction_value():
     assert poisson_bracket(f, g) == xxpp.scale(CRat(Fraction(9)))
 
 
+def test_star_matches_derivative_sum_on_rational_coefficients():
+    rng = np.random.default_rng(404)
+    cases = [(1, 8, 4)] * 100 + [(3, 4, 3)] * 30
+    for dims, max_degree, n_terms in cases:
+        f = _rational_poly(rng, dims, max_degree, int(rng.integers(1, n_terms + 1)))
+        g = _rational_poly(rng, dims, max_degree, int(rng.integers(1, n_terms + 1)))
+        assert star(f, g) == _reference_star(f, g)
+    for dims in (1, 3):
+        f = _rational_poly(rng, dims, 4, 3)
+        zero = PhasePolynomial.zero(dims)
+        for left, right in ((zero, f), (f, zero), (zero, zero)):
+            assert star(left, right) == _reference_star(left, right) == zero
+
+
 def test_star_is_associative_on_random_triples():
     rng = np.random.default_rng(101)
     for _ in range(30):
@@ -210,6 +264,13 @@ def test_classical_limit_sweep_slope():
     assert out["slope"] == pytest.approx(2.0, abs=1e-10)
 
 
+def test_classical_limit_sweep_keeps_nan_error():
+    x, p = _x(), _p()
+    out = classical_limit_sweep(x * x * x, p * p * p, hbar_values=(math.nan, 1e-2, 1e-3))
+    assert math.isnan(out["records"][0]["max_abs_err"])
+    assert math.isnan(out["slope"])
+
+
 def test_classical_limit_sweep_quadratic_has_no_corrections():
     x, p = _x(), _p()
     out = classical_limit_sweep(x * x, p * p)
@@ -222,3 +283,10 @@ def test_harmonic_flow_follows_classical_rotation():
     assert out["quadratic_flow_has_no_corrections"] is True
     assert out["closes_on_linear_span"] is True
     assert out["max_coefficient_error"] < 1e-10
+
+
+def test_harmonic_flow_keeps_nan_error():
+    # RK4 at step 1e9 overflows to inf, and inf * 0 in the generator product gives NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = harmonic_evolution_check(t_values=(1.0, 1e10), dt=1e9)
+    assert math.isnan(out["max_coefficient_error"])
