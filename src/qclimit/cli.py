@@ -50,7 +50,8 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool:
-        return self.abs_err <= self.tolerance
+        # bool(): a numpy measured value would otherwise give a numpy.bool_
+        return bool(self.abs_err <= self.tolerance)
 
     def to_json_dict(self) -> dict:
         return {
@@ -410,8 +411,8 @@ def criterion_10_star_algebra(rng) -> list[CheckRecord]:
 
 def criterion_11_projective_flow() -> list[CheckRecord]:
     space = hilbert.build_fock_space(1, 32)
-    xo = space.x_op().toarray()
-    po = space.p_op().toarray()
+    xo = space.x_op()
+    po = space.p_op()
     h = 0.5 * (xo @ xo + po @ po)
     initial = hilbert.coherent_state(space, 0.8, 0.6)
     report = hilbert.projective_flow_check(space, h, initial, t_final=10.0, dt=1e-3)
@@ -495,6 +496,25 @@ def _positive_float_list(text: str) -> tuple:
         if not 0.0 < v < math.inf:
             raise argparse.ArgumentTypeError(f"{v:g} is not a finite positive value")
     return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{value:g} is not a finite value")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"{value:g} is not a finite positive value")
+    return value
 
 
 def _positive_rational(text: str) -> Fraction:
@@ -744,8 +764,8 @@ def cmd_star_limit_sweep(args) -> list[CheckRecord]:
 
 def cmd_flow_check(args) -> list[CheckRecord]:
     space = hilbert.build_fock_space(1, args.cutoff)
-    xo = space.x_op().toarray()
-    po = space.p_op().toarray()
+    xo = space.x_op()
+    po = space.p_op()
     h = 0.5 * (xo @ xo + po @ po)
     initial = hilbert.coherent_state(space, args.p, args.x)
     report = hilbert.projective_flow_check(space, h, initial, t_final=args.t_final, dt=args.dt)
@@ -856,10 +876,10 @@ def make_parser() -> argparse.ArgumentParser:
         "flow-check", help="ray flow: coefficient vs canonical routes", parents=[shared]
     )
     s.add_argument("--cutoff", type=int, default=32)
-    s.add_argument("--t-final", type=float, default=10.0)
-    s.add_argument("--dt", type=float, default=1e-3)
-    s.add_argument("--p", type=float, default=0.8)
-    s.add_argument("--x", type=float, default=0.6)
+    s.add_argument("--t-final", type=_positive_float, default=10.0)
+    s.add_argument("--dt", type=_positive_float, default=1e-3)
+    s.add_argument("--p", type=_finite_float, default=0.8)
+    s.add_argument("--x", type=_finite_float, default=0.6)
     s.set_defaults(func=cmd_flow_check)
 
     s = sub.add_parser("all", help="full acceptance battery", parents=[shared])

@@ -11,26 +11,39 @@ Conventions, fixed once and used everywhere:
   vacuum);
 - states carry the label phase: state(p, x, theta) = exp(i theta) D(alpha)|0>.
 
+Per mode, everything is derived from one ladder vector sqrt(1..N), the
+superdiagonal of the truncated annihilator: X and P are banded sparse
+matrices, and the truncated X is a Jacobi matrix whose spectrum X = V L V^T
+(one symmetric tridiagonal eigensolve per mode dimension, cached) gives
+every Weyl factor exactly on the truncated space (Golub-Welsch 1969):
+exp(i a X) = V exp(i a L) V^T, and P = U X U^dagger with U = diag(i^n).
+No dense ladder or quadrature matrix is formed, so building a space and
+checking its ladder cost O(N).
+
 All tolerance-critical closed forms (overlap, matrix elements) have high
 precision Fock-sum counterparts (suffix _hp) evaluated with mpmath, so that
 formula checks are not polluted by float64 cancellation at small overlaps.
+
+The ray flow is linear, y' = A y, so one RK4 step is exactly the matrix
+polynomial sum_{k<=4} (hA)^k / k!, built once and raised to the sampling
+stride.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import expm_multiply
 
-SQRT2 = math.sqrt(2.0)
+from qclimit.lie_core import _DUAL_PAIR
 
-# modes are numbered 1..3; dual rotation axis a <-> pair (i, j)
-_DUAL_PAIR = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
+SQRT2 = math.sqrt(2.0)
 
 
 class TruncationGuardError(ValueError):
@@ -68,39 +81,25 @@ class FockSpace:
     def dim(self) -> int:
         return self.mode_dim**self.modes
 
-    # -- per-mode building blocks ------------------------------------------
+    # -- per-mode banded operators, all from the one ladder vector ----------
 
-    def mode_annihilator(self) -> np.ndarray:
-        n = self.mode_dim
-        a = np.zeros((n, n))
-        a[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
-        return a
+    def mode_x(self) -> sp.csr_matrix:
+        return sp.diags(_quadrature_bands(self.mode_dim)["X"], [-1, 1], format="csr")
 
-    def mode_x(self) -> np.ndarray:
-        a = self.mode_annihilator()
-        return (a + a.T) / SQRT2
-
-    def mode_p(self) -> np.ndarray:
-        a = self.mode_annihilator()
-        return (a - a.T) / (1j * SQRT2)
+    def mode_p(self) -> sp.csr_matrix:
+        return sp.diags(_quadrature_bands(self.mode_dim)["P"], [-1, 1], format="csr")
 
     # -- full-space sparse operators ---------------------------------------
 
-    def _lift(self, m: np.ndarray, mode: int) -> sp.csr_matrix:
+    def _lift(self, m: sp.csr_matrix, mode: int) -> sp.csr_matrix:
         """Embed a one-mode matrix at the given mode (1-based) via Kronecker."""
         if not 1 <= mode <= self.modes:
             raise ValueError(f"mode {mode} out of range for {self.modes} modes")
         out = None
         for i in range(1, self.modes + 1):
-            f = sp.csr_matrix(m) if i == mode else sp.identity(self.mode_dim, format="csr")
+            f = m if i == mode else sp.identity(self.mode_dim, format="csr")
             out = f if out is None else sp.kron(out, f, format="csr")
         return out.astype(complex)
-
-    def annihilator(self, mode: int = 1) -> sp.csr_matrix:
-        return self._lift(self.mode_annihilator(), mode)
-
-    def creator(self, mode: int = 1) -> sp.csr_matrix:
-        return self.annihilator(mode).conj().T.tocsr()
 
     def x_op(self, mode: int = 1) -> sp.csr_matrix:
         return self._lift(self.mode_x(), mode)
@@ -137,18 +136,43 @@ class FockSpace:
         return (self.occupations() <= self.cutoff - margin).all(axis=1)
 
 
+def _ladder(mode_dim: int) -> np.ndarray:
+    """Superdiagonal of the truncated annihilator: a|n> = sqrt(n)|n-1>."""
+    return np.sqrt(np.arange(1.0, mode_dim))
+
+
+def _quadrature_bands(mode_dim: int) -> dict:
+    """(subdiagonal, superdiagonal) of X = (a + a*)/sqrt(2) and
+    P = (a - a*)/(i sqrt(2)); both have a zero diagonal."""
+    s = _ladder(mode_dim) / SQRT2
+    return {"X": (s, s), "P": (1j * s, -1j * s)}
+
+
+@lru_cache(maxsize=8)
+def _x_spectrum(mode_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues L and orthonormal real eigenvectors V of the truncated X,
+    X = V diag(L) V^T, as read-only arrays."""
+    lam, vec = eigh_tridiagonal(np.zeros(mode_dim), _ladder(mode_dim) / SQRT2)
+    lam.flags.writeable = False
+    vec.flags.writeable = False
+    return lam, vec
+
+
 def build_fock_space(modes: int, cutoff: int) -> FockSpace:
-    """Construct the space and verify the ladder/quadrature sanity conditions."""
+    """Construct the space and verify the ladder/quadrature sanity conditions.
+
+    Both checks read the per-mode bands, so they cost O(cutoff).
+    """
     space = FockSpace(modes, cutoff)
-    a = space.mode_annihilator()
-    comm = a @ a.T - a.T @ a
+    # a has the one band s, so [a, a*] is diagonal with entries s_n^2 - s_{n-1}^2
+    s2 = np.concatenate(([0.0], _ladder(space.mode_dim) ** 2, [0.0]))
     # canonical up to the truncation edge, where the correction -(N+1)|N><N| lives
-    edge = np.eye(space.mode_dim)
-    edge[-1, -1] = -space.cutoff
-    if np.abs(comm - edge).max() > 1e-12:
+    edge = np.ones(space.mode_dim)
+    edge[-1] = -space.cutoff
+    if np.abs(np.diff(s2) - edge).max() > 1e-12:
         raise AssertionError("ladder commutator defect outside the truncation edge")
-    for op in (space.mode_x(), space.mode_p()):
-        if np.abs(op - op.conj().T).max() > 1e-14:
+    for sub, sup in _quadrature_bands(space.mode_dim).values():
+        if np.abs(sub - sup.conj()).max() > 1e-14:
             raise AssertionError("quadrature operator failed Hermiticity check")
     return space
 
@@ -174,19 +198,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "backend": self.backend,
-            "coefficients": [[float(c.real), float(c.imag)] for c in self.coefficients],
-        }
-        if self.is_coherent:
-            d["labels"] = {
-                "p": list(map(float, self.label_p)),
-                "x": list(map(float, self.label_x)),
-                "theta": float(self.label_theta),
-            }
-        return d
 
 
 def _as_mode_vector(value, modes: int) -> np.ndarray:
@@ -369,29 +380,44 @@ class WeylOperator:
         )
 
 
+def _exp_i_x(mode_dim: int, alpha: float) -> np.ndarray:
+    """exp(i alpha X) = V exp(i alpha L) V^T on one truncated mode."""
+    lam, v = _x_spectrum(mode_dim)
+    return (v * np.cos(alpha * lam)) @ v.T + 1j * ((v * np.sin(alpha * lam)) @ v.T)
+
+
+def _conjugate_by_phases(m: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """D m D^dagger for D = diag(phases)."""
+    return phases[:, None] * m * phases.conj()[None, :]
+
+
 def weyl_unitary(space: FockSpace, p, x, theta: float = 0.0, form: str = "factored") -> WeylOperator:
     """U(p, x, theta) in product form.
 
-    form='factored' multiplies exp(i x.p/2) exp(-i x.P) exp(i p.X) per mode;
-    form='single' exponentiates i(p.X - x.P) in one step.  Both carry the
-    global exp(i theta).  Agreement of the two forms is the standard
-    Baker-Campbell-Hausdorff consistency check for the canonical pair.
+    form='factored' multiplies exp(i x.p/2) exp(-i x.P) exp(i p.X) per mode,
+    with exp(-i x P) = U exp(-i x X) U^dagger for U = diag(i^n);
+    form='single' exponentiates i(p.X - x.P) in one step, as the rotated
+    quadrature p X - x P = r R X R^dagger with r = hypot(p, x),
+    R = diag(exp(-i phi n)) and phi = atan2(x, p).  Both carry the global
+    exp(i theta) and are exact on the truncated space up to rounding.
+    Agreement of the two forms is the standard Baker-Campbell-Hausdorff
+    consistency check for the canonical pair.
     """
+    if form not in ("factored", "single"):
+        raise ValueError("form must be 'factored' or 'single'")
     p = _as_mode_vector(p, space.modes)
     x = _as_mode_vector(x, space.modes)
-    xm, pm = space.mode_x(), space.mode_p()
+    n = space.mode_dim
+    levels = np.arange(n)
+    quarter_turns = np.array([1.0, 1j, -1.0, -1j])[levels % 4]
     factors = []
     for i in range(space.modes):
         if form == "factored":
-            f = (
-                np.exp(0.5j * x[i] * p[i])
-                * expm(-1j * x[i] * pm)
-                @ expm(1j * p[i] * xm)
-            )
-        elif form == "single":
-            f = expm(1j * (p[i] * xm - x[i] * pm))
+            shift = _conjugate_by_phases(_exp_i_x(n, -x[i]), quarter_turns)
+            f = np.exp(0.5j * x[i] * p[i]) * shift @ _exp_i_x(n, p[i])
         else:
-            raise ValueError("form must be 'factored' or 'single'")
+            rotation = np.exp(-1j * math.atan2(x[i], p[i]) * levels)
+            f = _conjugate_by_phases(_exp_i_x(n, math.hypot(p[i], x[i])), rotation)
         factors.append(f)
     return WeylOperator(space, np.exp(1j * float(theta)), tuple(factors))
 
@@ -581,21 +607,38 @@ class FlowReport:
         return self.max_deviation < 1e-6 and self.norm_drift < 1e-8
 
 
-def _rk4(rhs, y0: np.ndarray, t_final: float, dt: float, sample_every: int):
-    y = y0.copy()
-    t = 0.0
-    samples = [y.copy()]
-    steps = int(round(t_final / dt))
-    for step in range(1, steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        if step % sample_every == 0 or step == steps:
-            samples.append(y.copy())
+def _rk4(gen: np.ndarray, y0: np.ndarray, dt: float, steps: int, sample_every: int) -> np.ndarray:
+    """Classical RK4 for the linear equation y' = gen y, sampled every
+    `sample_every` steps and at the last step.
+
+    For a linear right-hand side one RK4 step is exactly the matrix
+    polynomial M = sum_{k<=4} (dt gen)^k / k!, so M is built once and each
+    sample advances by M^sample_every; a remainder power reaches `steps`.
+    """
+    if steps < 1 or sample_every < 1:
+        raise ValueError(f"need at least one step and one step per sample, got {steps} and {sample_every}")
+    hg = dt * np.asarray(gen)
+    eye = np.eye(hg.shape[0])
+    step = eye
+    for k in (4, 3, 2, 1):
+        step = eye + (hg / k) @ step
+    stride = np.linalg.matrix_power(step, sample_every)
+    y = np.asarray(y0).copy()
+    samples = [y]
+    for _ in range(steps // sample_every):
+        y = stride @ y
+        samples.append(y)
+    if steps % sample_every:
+        y = np.linalg.matrix_power(step, steps % sample_every) @ y
+        samples.append(y)
     return np.array(samples)
+
+
+def _canonical_generator(h: np.ndarray) -> np.ndarray:
+    """Real generator of Hamilton's equations for c = q + i p under the
+    function (1/2)<phi(c)|H|phi(c)>: d(q, p)/dt = [[Im H, Re H], [-Re H, Im H]] (q, p)."""
+    a, b = h.real, h.imag
+    return np.block([[b, a], [-a, b]])
 
 
 def projective_flow_check(
@@ -615,6 +658,11 @@ def projective_flow_check(
     so their numerical trajectories must agree to integrator accuracy, and
     route (a) run at dt and dt/2 gives the step-halving convergence figure.
     """
+    if not (0.0 < dt < math.inf and 0.0 < t_final < math.inf):
+        raise ValueError(f"dt and t_final must be finite and > 0, got dt={dt}, t_final={t_final}")
+    steps = int(round(t_final / dt))
+    if steps < 1:
+        raise ValueError(f"t_final={t_final} is less than one step of dt={dt}")
     h = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
     if np.abs(h - h.conj().T).max() > 1e-12:
         raise ValueError("hamiltonian must be Hermitian")
@@ -622,28 +670,15 @@ def projective_flow_check(
     if abs(np.linalg.norm(c0) - 1.0) > 1e-6:
         raise ValueError("initial state must be normalized")
 
-    a_part = h.real
-    b_part = h.imag
-
-    def schroedinger(c):
-        return -1j * (h @ c)
-
-    def hamilton(y):
-        n = y.size // 2
-        q, pp = y[:n], y[n:]
-        dq = a_part @ pp + b_part @ q
-        dp = -(a_part @ q) + b_part @ pp
-        return np.concatenate([dq, dp])
-
-    path_a = _rk4(schroedinger, c0, t_final, dt, sample_every)
+    path_a = _rk4(-1j * h, c0, dt, steps, sample_every)
     y0 = np.concatenate([c0.real, c0.imag])
-    path_b = _rk4(hamilton, y0, t_final, dt, sample_every)
+    path_b = _rk4(_canonical_generator(h), y0, dt, steps, sample_every)
     n = c0.size
     path_b_c = path_b[:, :n] + 1j * path_b[:, n:]
 
     deviation = float(np.abs(path_a - path_b_c).max())
     norms = np.linalg.norm(path_a, axis=1)
     drift = float(np.abs(norms - np.linalg.norm(c0)).max())
-    path_half = _rk4(schroedinger, c0, t_final, dt / 2.0, 2 * sample_every)
+    path_half = _rk4(-1j * h, c0, dt / 2.0, int(round(t_final / (dt / 2.0))), 2 * sample_every)
     halving = float(np.abs(path_a - path_half).max())
-    return FlowReport(deviation, drift, halving, int(round(t_final / dt)), dt)
+    return FlowReport(deviation, drift, halving, steps, dt)

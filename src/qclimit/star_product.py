@@ -36,6 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from qclimit.hilbert import _rk4
+
 
 @dataclass(frozen=True)
 class CRat:
@@ -544,14 +546,7 @@ def harmonic_evolution_check(t_values=(math.pi / 4, math.pi / 2, math.pi), dt: f
     errors = []
     for t in t_values:
         steps = max(1, int(round(t / dt)))
-        step = t / steps
-        y = np.array([1.0, 0.0])
-        for _ in range(steps):
-            k1 = gen @ y
-            k2 = gen @ (y + 0.5 * step * k1)
-            k3 = gen @ (y + 0.5 * step * k2)
-            k4 = gen @ (y + step * k3)
-            y = y + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = _rk4(gen, np.array([1.0, 0.0]), t / steps, steps, steps)[-1]
         errors += [abs(y[0] - math.cos(t)), abs(y[1] - math.sin(t))]
     # np.max, unlike max(), propagates NaN
     return {

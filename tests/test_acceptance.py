@@ -6,6 +6,7 @@ is shared with the `all` subcommand, so these tests and the command line
 report the same numbers.
 """
 
+import json
 import subprocess
 import sys
 
@@ -97,3 +98,13 @@ def test_criterion_12_determinism(battery, tmp_path):
     csv_a = (dirs[0] / "contract_sweep.csv").read_bytes()
     csv_b = (dirs[1] / "contract_sweep.csv").read_bytes()
     assert csv_a == csv_b
+
+
+def test_battery_report_writes_pass_as_json_bool(battery):
+    grouped, _ = battery
+    records = [r for number in sorted(grouped) for r in grouped[number]]
+    manifest = cli.build_manifest("all", {"seed": 7}, 7, timestamp="")
+    report = json.loads(cli.serialize_report(cli.build_report(manifest, records)))
+    assert len(report["checks"]) == len(records)
+    for check in report["checks"]:
+        assert isinstance(check["pass"], bool), check["check_id"]

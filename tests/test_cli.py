@@ -157,6 +157,37 @@ def test_flow_check_short_run(tmp_path):
     assert check_by_id(report, "norm-drift")["measured"] < 1e-8
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--dt", "0"), "argument --dt: 0 is not a finite positive value"),
+        (("--dt=-1e-3",), "argument --dt: -0.001 is not a finite positive value"),
+        (("--dt", "nan"), "argument --dt: nan is not a finite value"),
+        (("--t-final", "-1"), "argument --t-final: -1 is not a finite positive value"),
+        (("--t-final", "inf"), "argument --t-final: inf is not a finite value"),
+        (("--p", "nan"), "argument --p: nan is not a finite value"),
+        (("--x=-inf",), "argument --x: -inf is not a finite value"),
+        (("--x", "one"), "argument --x: 'one' is not a number"),
+    ],
+)
+def test_flow_check_rejected_at_parser(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "flow-check", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_pass_is_a_python_bool_for_numpy_measurements():
+    record = cli.CheckRecord("c", "plumbing", np.float64(1e-12), 0.0, 1e-10)
+    assert type(record.passed) is bool
+    manifest = cli.build_manifest("x", {}, 7, timestamp="t")
+    parsed = json.loads(cli.serialize_report(cli.build_report(manifest, [record])))
+    assert parsed["checks"][0]["pass"] is True
+
+
 def test_same_seed_reports_are_byte_identical(tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"

@@ -45,6 +45,37 @@ def test_build_validates_arguments():
         build_fock_space(1, 1)
 
 
+def test_corrupt_ladder_fails_commutator_check(monkeypatch):
+    from qclimit import hilbert
+
+    ladder = hilbert._ladder
+
+    def corrupt(mode_dim):
+        s = ladder(mode_dim).copy()
+        s[mode_dim // 2] *= 1.0 + 1e-9
+        return s
+
+    monkeypatch.setattr(hilbert, "_ladder", corrupt)
+    with pytest.raises(AssertionError, match="ladder commutator defect"):
+        build_fock_space(1, 16)
+
+
+def test_non_hermitian_quadrature_fails_check(monkeypatch):
+    from qclimit import hilbert
+
+    bands = hilbert._quadrature_bands
+
+    def skewed(mode_dim):
+        out = dict(bands(mode_dim))
+        sub, sup = out["P"]
+        out["P"] = (sub, -sup)
+        return out
+
+    monkeypatch.setattr(hilbert, "_quadrature_bands", skewed)
+    with pytest.raises(AssertionError, match="Hermiticity"):
+        build_fock_space(1, 16)
+
+
 def test_position_operator_small_cutoff_matrix():
     space = build_fock_space(1, 2)
     expected = np.array(
@@ -54,7 +85,7 @@ def test_position_operator_small_cutoff_matrix():
             [0.0, SQRT2, 0.0],
         ]
     ) / SQRT2
-    assert np.allclose(space.mode_x(), expected, atol=1e-15)
+    assert np.allclose(space.mode_x().toarray(), expected, atol=1e-15)
 
 
 def test_quadrature_hermiticity_and_edge_commutator():
@@ -309,6 +340,63 @@ def test_three_mode_apply_matches_kron_matrix():
     assert np.abs(got - want).max() < 1e-12
 
 
+def _expm_weyl(space, p, x, theta, form):
+    """Test-local reference: scipy expm of the dense one-mode quadratures,
+    one factor per mode, Kronecker-multiplied."""
+    mode = build_fock_space(1, space.cutoff)
+    xm = mode.x_op().toarray()
+    pm = mode.p_op().toarray()
+    out = np.exp(1j * theta) * np.ones((1, 1))
+    for pi, xi in zip(np.atleast_1d(p), np.atleast_1d(x)):
+        if form == "factored":
+            f = np.exp(0.5j * xi * pi) * expm(-1j * xi * pm) @ expm(1j * pi * xm)
+        else:
+            f = expm(1j * (pi * xm - xi * pm))
+        out = np.kron(out, f)
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [20, 64, 256])
+def test_spectral_weyl_factors_match_expm_one_mode(cutoff):
+    space = build_fock_space(1, cutoff)
+    rng = np.random.default_rng(cutoff)
+    labels = [(0.0, 0.0), (1.3, 0.0), (0.0, -0.9)] + [tuple(rng.uniform(-2, 2, size=2)) for _ in range(2)]
+    for p, x in labels:
+        theta = rng.uniform(-np.pi, np.pi)
+        for form in ("factored", "single"):
+            got = weyl_unitary(space, p, x, theta, form=form).matrix()
+            want = _expm_weyl(space, p, x, theta, form)
+            assert np.abs(got - want).max() <= 1e-12, (cutoff, p, x, form)
+
+
+def test_spectral_weyl_factors_match_expm_three_modes():
+    space = build_fock_space(3, 8)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        p, x = rng.uniform(-0.8, 0.8, size=(2, 3))
+        theta = rng.uniform(-1.0, 1.0)
+        for form in ("factored", "single"):
+            got = weyl_unitary(space, p, x, theta, form=form).matrix()
+            want = _expm_weyl(space, p, x, theta, form)
+            assert np.abs(got - want).max() <= 1e-12, form
+
+
+def test_weyl_unitary_rejects_unknown_form():
+    with pytest.raises(ValueError, match="form"):
+        weyl_unitary(build_fock_space(1, 4), 0.1, 0.2, form="bch")
+
+
+def test_cached_x_spectrum_is_read_only():
+    from qclimit.hilbert import _x_spectrum
+
+    space = build_fock_space(1, 12)
+    weyl_unitary(space, 0.5, 0.5)
+    lam, vec = _x_spectrum(space.mode_dim)
+    assert not lam.flags.writeable and not vec.flags.writeable
+    x = space.x_op().toarray().real
+    assert np.abs(vec @ np.diag(lam) @ vec.T - x).max() < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # rotations
 # ---------------------------------------------------------------------------
@@ -472,15 +560,89 @@ def test_flow_matches_exact_propagator():
     h = _harmonic(space)
     initial = coherent_state(space, 0.5, -0.4)
     t_final, dt = 1.5, 1e-3
-
-    def rhs(c):
-        return -1j * (h @ c)
-
     from qclimit.hilbert import _rk4
 
-    path = _rk4(rhs, initial.coefficients.astype(complex), t_final, dt, 1500)
+    path = _rk4(-1j * h, initial.coefficients.astype(complex), dt, 1500, 1500)
     exact = expm(-1j * h * t_final) @ initial.coefficients
     assert np.abs(path[-1] - exact).max() < 1e-9
+
+
+def test_complex_hamiltonian_flow_matches_exact_propagator():
+    # the P term and the squeezing term XP + PX make H complex, so route (b)
+    # runs on the imaginary part of H as well as the real part
+    from qclimit.hilbert import _canonical_generator, _rk4
+
+    space = build_fock_space(1, 16)
+    x = space.x_op().toarray()
+    p = space.p_op().toarray()
+    h = _harmonic(space) + 0.3 * (x @ p + p @ x) + 0.2 * p
+    assert np.abs(h.imag).max() > 0.1
+    initial = coherent_state(space, 0.5, -0.4)
+    c0 = initial.coefficients
+    t_final, dt = 1.0, 1e-3
+    exact = expm(-1j * h * t_final) @ c0
+    route_a = _rk4(-1j * h, c0, dt, 1000, 1000)[-1]
+    route_b = _rk4(_canonical_generator(h), np.concatenate([c0.real, c0.imag]), dt, 1000, 1000)[-1]
+    n = c0.size
+    assert np.abs(route_a - exact).max() < 1e-9
+    assert np.abs(route_b[:n] + 1j * route_b[n:] - exact).max() < 1e-9
+    report = projective_flow_check(space, h, initial, t_final=t_final, dt=dt)
+    assert report.max_deviation < 1e-9
+    assert report.clean
+
+
+def _loop_rk4(gen, y0, dt, steps, sample_every):
+    """Test-local reference: the four-stage RK4 loop, one step at a time."""
+    y = y0.copy()
+    samples = [y.copy()]
+    for step in range(1, steps + 1):
+        k1 = gen @ y
+        k2 = gen @ (y + 0.5 * dt * k1)
+        k3 = gen @ (y + 0.5 * dt * k2)
+        k4 = gen @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % sample_every == 0 or step == steps:
+            samples.append(y.copy())
+    return np.array(samples)
+
+
+def test_rk4_step_polynomial_matches_stage_loop():
+    from qclimit.hilbert import _rk4
+
+    space = build_fock_space(1, 12)
+    x = space.x_op().toarray()
+    p = space.p_op().toarray()
+    h = _harmonic(space) + 0.3 * (x @ p + p @ x) + 0.2 * p
+    c0 = coherent_state(space, 0.3, 0.2).coefficients
+    # 1000 = 33 * 30 + 10: strided samples and one remainder sample
+    got = _rk4(-1j * h, c0, 1e-3, 1000, 30)
+    want = _loop_rk4(-1j * h, c0, 1e-3, 1000, 30)
+    assert got.shape == want.shape == (35, space.dim)
+    # the same integrator, rounded in another order
+    assert np.abs(got - want).max() < 1e-12
+    with pytest.raises(ValueError, match="at least one step"):
+        _rk4(-1j * h, c0, 1e-3, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "t_final, dt",
+    [
+        (1.0, 0.0),
+        (1.0, -1e-3),
+        (-1.0, 1e-3),
+        (0.0, 1e-3),
+        (math.nan, 1e-3),
+        (1.0, math.nan),
+        (math.inf, 1e-3),
+        (1.0, math.inf),
+        (1e-4, 1e-3),
+    ],
+)
+def test_flow_rejects_bad_time_grid(t_final, dt):
+    space = build_fock_space(1, 8)
+    initial = coherent_state(space, 0.1, 0.1)
+    with pytest.raises(ValueError, match="dt|step"):
+        projective_flow_check(space, _harmonic(space), initial, t_final=t_final, dt=dt)
 
 
 def test_flow_identity_hamiltonian_gives_global_phase():
