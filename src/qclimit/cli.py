@@ -21,7 +21,6 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 import qclimit
@@ -120,38 +119,25 @@ def comparable_payload(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# high-precision helpers for the overlap and matrix-element grids
+# closed forms against the high-precision Fock sums
 # ---------------------------------------------------------------------------
 
 
-def _hp_dot(c1, c2):
-    return mpmath.fsum((mpmath.conj(a) * b for a, b in zip(c1, c2)), absolute=False)
-
-
-def _hp_label_tables(labels, cutoff: int):
-    """Per-label coherent coefficients plus ladder-applied X and P images."""
-    tables = {}
-    for p, x in labels:
-        c = hilbert._hp_mode_coeffs(hilbert._hp_alpha(x, p), cutoff + 1)
-        lowered = [mpmath.sqrt(n + 1) * c[n + 1] for n in range(cutoff)] + [mpmath.mpc(0)]
-        raised = [mpmath.mpc(0)] + [mpmath.sqrt(n) * c[n - 1] for n in range(1, cutoff + 1)]
-        xc = [(lo + ra) / mpmath.sqrt(2) for lo, ra in zip(lowered, raised)]
-        pc = [(lo - ra) / (1j * mpmath.sqrt(2)) for lo, ra in zip(lowered, raised)]
-        tables[(p, x)] = {"c": c, "X": xc, "P": pc}
-    return tables
+def _worst(errors) -> float:
+    """Largest error; np.max, unlike max(), propagates NaN (and an empty
+    sample raises instead of passing)."""
+    return float(np.max(errors))
 
 
 def overlap_grid_max_rel_err(cutoff: int = 64, dps: int = 30) -> float:
     """Closed form vs. high-precision truncated sum over the 1D label grid."""
     labels = list(itertools.product(GRID_VALUES, GRID_VALUES))
-    worst = 0.0
-    with mpmath.workdps(dps):
-        tables = _hp_label_tables(labels, cutoff)
-        for (p1, x1), (p2, x2) in itertools.product(labels, labels):
-            got = complex(_hp_dot(tables[(p1, x1)]["c"], tables[(p2, x2)]["c"]))
-            want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
-            worst = max(worst, abs(got - want) / abs(want))
-    return worst
+    gram = hilbert.fock_gram_hp(labels, labels, cutoff, "c", dps)
+    errors = []
+    for (i, (p1, x1)), (j, (p2, x2)) in itertools.product(enumerate(labels), repeat=2):
+        want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
+        errors.append(abs(complex(gram[i, j]) - want) / abs(want))
+    return _worst(errors)
 
 
 def matrix_element_grid_max_rel_err(cutoff: int = 64, dps: int = 30) -> float:
@@ -162,26 +148,24 @@ def matrix_element_grid_max_rel_err(cutoff: int = 64, dps: int = 30) -> float:
     size of the element at that label pair.
     """
     labels = list(itertools.product(GRID_VALUES, GRID_VALUES))
-    worst = 0.0
-    with mpmath.workdps(dps):
-        tables = _hp_label_tables(labels, cutoff)
-        for (p1, x1), (p2, x2) in itertools.product(labels, labels):
-            ovl = abs(hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0))
-            for kind in ("X", "P"):
-                got = complex(_hp_dot(tables[(p1, x1)]["c"], tables[(p2, x2)][kind]))
-                want = hilbert.matrix_element_formula(kind, 1, p1, x1, 0.0, p2, x2, 0.0)
-                worst = max(worst, abs(got - want) / max(abs(want), ovl))
-    return worst
+    grams = {kind: hilbert.fock_gram_hp(labels, labels, cutoff, kind, dps) for kind in ("X", "P")}
+    errors = []
+    for (i, (p1, x1)), (j, (p2, x2)) in itertools.product(enumerate(labels), repeat=2):
+        ovl = abs(hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0))
+        for kind in ("X", "P"):
+            want = hilbert.matrix_element_formula(kind, 1, p1, x1, 0.0, p2, x2, 0.0)
+            errors.append(abs(complex(grams[kind][i, j]) - want) / np.maximum(abs(want), ovl))
+    return _worst(errors)
 
 
 def overlap_3d_max_rel_err(rng, n_pairs: int = 40, cutoff: int = 16) -> float:
-    worst = 0.0
+    errors = []
     for _ in range(n_pairs):
         p1, x1, p2, x2 = (rng.uniform(-1.5, 1.5, size=3) for _ in range(4))
         got = hilbert.fock_overlap_hp(p1, x1, 0.0, p2, x2, 0.0, cutoff=cutoff)
         want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
-        worst = max(worst, abs(got - want) / abs(want))
-    return worst
+        errors.append(abs(got - want) / abs(want))
+    return _worst(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +220,7 @@ def criterion_02_contraction_limit() -> list[CheckRecord]:
 
 
 def criterion_03_group_law(rng) -> list[CheckRecord]:
-    worst = 0.0
+    errors = []
     for _ in range(1000):
         w1 = coset_rep.WeylLabel(
             rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi)
@@ -248,8 +232,8 @@ def criterion_03_group_law(rng) -> list[CheckRecord]:
         g2 = coset_rep.group_element("phase", w2)
         product, _ = coset_rep.compose(g1, g2)
         closed = coset_rep.group_element("phase", coset_rep.weyl_compose_formula(w1, w2))
-        worst = max(worst, float(np.abs(product.entries - closed.entries).max()))
-    return [CheckRecord("C03.group-law", "weyl-composition", worst, 0.0, 1e-10)]
+        errors.append(float(np.abs(product.entries - closed.entries).max()))
+    return [CheckRecord("C03.group-law", "weyl-composition", _worst(errors), 0.0, 1e-10)]
 
 
 def criterion_04_overlaps(rng) -> list[CheckRecord]:
@@ -271,31 +255,31 @@ def criterion_04_overlaps(rng) -> list[CheckRecord]:
 def criterion_05_matrix_elements() -> list[CheckRecord]:
     grid_err = matrix_element_grid_max_rel_err(cutoff=64)
     space = hilbert.build_fock_space(1, 48)
-    diag = 0.0
+    diag = []
     for p, x in itertools.product(GRID_VALUES, GRID_VALUES):
         s = hilbert.coherent_state(space, p, x)
-        diag = max(diag, abs(hilbert.matrix_element(space, "X", 1, s, s) - x))
-        diag = max(diag, abs(hilbert.matrix_element(space, "P", 1, s, s) - p))
+        diag.append(abs(hilbert.matrix_element(space, "X", 1, s, s) - x))
+        diag.append(abs(hilbert.matrix_element(space, "P", 1, s, s) - p))
     return [
         CheckRecord("C05.element-grid-1d", "matrix-element-closed-form", grid_err, 0.0, 1e-8),
-        CheckRecord("C05.diagonal-labels", "matrix-element-closed-form", diag, 0.0, 1e-10),
+        CheckRecord("C05.diagonal-labels", "matrix-element-closed-form", _worst(diag), 0.0, 1e-10),
     ]
 
 
 def criterion_06_bch(rng) -> list[CheckRecord]:
     space = hilbert.build_fock_space(1, 64)
     vac = hilbert.vacuum_state(space)
-    form_err = 0.0
+    form_err = []
     for _ in range(20):
         p, x = rng.uniform(-2, 2, size=2)
         theta = rng.uniform(-np.pi, np.pi)
         a = hilbert.weyl_unitary(space, p, x, theta, form="factored").apply(vac)
         b = hilbert.weyl_unitary(space, p, x, theta, form="single").apply(vac)
-        form_err = max(form_err, float(np.abs(a.coefficients - b.coefficients).max()))
+        form_err.append(float(np.abs(a.coefficients - b.coefficients).max()))
 
     space3 = hilbert.build_fock_space(3, 20)
     vac3 = hilbert.vacuum_state(space3)
-    law_err = 0.0
+    law_err = []
     for _ in range(10):
         w1 = coset_rep.WeylLabel(rng.uniform(-0.8, 0.8, 3), rng.uniform(-0.8, 0.8, 3), rng.uniform(-1, 1))
         w2 = coset_rep.WeylLabel(rng.uniform(-0.8, 0.8, 3), rng.uniform(-0.8, 0.8, 3), rng.uniform(-1, 1))
@@ -304,10 +288,10 @@ def criterion_06_bch(rng) -> list[CheckRecord]:
         )
         w12 = coset_rep.weyl_compose_formula(w1, w2)
         direct = hilbert.weyl_unitary(space3, w12.p, w12.x, w12.theta).apply(vac3)
-        law_err = max(law_err, float(np.abs(seq.coefficients - direct.coefficients).max()))
+        law_err.append(float(np.abs(seq.coefficients - direct.coefficients).max()))
     return [
-        CheckRecord("C06.factored-vs-single", "weyl-factorization", form_err, 0.0, 1e-8),
-        CheckRecord("C06.group-law-on-vacuum", "weyl-composition", law_err, 0.0, 1e-8),
+        CheckRecord("C06.factored-vs-single", "weyl-factorization", _worst(form_err), 0.0, 1e-8),
+        CheckRecord("C06.group-law-on-vacuum", "weyl-composition", _worst(law_err), 0.0, 1e-8),
     ]
 
 
@@ -323,8 +307,8 @@ def criterion_08_contraction_sweep() -> list[CheckRecord]:
         k_values=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0), pairs=(contraction_lab.canonical_pair(),)
     )
     records = contraction_lab.overlap_decay_sweep(config)
-    closed_err = max(r.abs_err for r in records if r.backend == "closed_form")
-    fock_err = max(r.abs_err for r in records if r.backend == "fock" and r.k <= 4.0)
+    closed_err = _worst([r.abs_err for r in records if r.backend == "closed_form"])
+    fock_err = _worst([r.abs_err for r in records if r.backend == "fock" and r.k <= 4.0])
     slope = contraction_lab.decay_slope(records, 0, backend="fock")
     return [
         CheckRecord("C08.closed-form-decay", "contracted-overlap-decay", closed_err, 0.0, 1e-12),
@@ -336,22 +320,22 @@ def criterion_08_contraction_sweep() -> list[CheckRecord]:
 def criterion_09_eigenvalue_emergence() -> list[CheckRecord]:
     l1, l2 = (0.2, 0.3, 0.0), (0.5, 0.7, 0.0)
     want = 0.5 * ((l1[1] + l2[1]) - 1j * (l1[0] - l2[0]))
-    ratio_err = 0.0
-    diag_err = 0.0
+    ratio_err = []
+    diag_err = []
     for k in (1.0, 2.0, 4.0, 6.0, 8.0):
         cutoff = contraction_lab.required_cutoff(k, (l1, l2))
         space = hilbert.build_fock_space(1, cutoff)
         s1 = contraction_lab.relabel_coherent(space, k, *l1)
         s2 = contraction_lab.relabel_coherent(space, k, *l2)
         ratio = hilbert.matrix_element(space, "X", 1, s1, s2) / hilbert.overlap(s1, s2) / k
-        ratio_err = max(ratio_err, abs(ratio - want))
+        ratio_err.append(abs(ratio - want))
         diag = hilbert.matrix_element(space, "X", 1, s2, s2).real / k
-        diag_err = max(diag_err, abs(diag - l2[1]))
+        diag_err.append(abs(diag - l2[1]))
     closed, fock = contraction_lab.gram_matrix(6.0, contraction_lab.canonical_pair())
     gram_err = abs(abs(fock[0, 1]) - math.exp(-9.0)) / math.exp(-9.0)
     return [
-        CheckRecord("C09.element-ratio", "matrix-element-ratio", ratio_err, 0.0, 1e-8),
-        CheckRecord("C09.contracted-diagonal", "matrix-element-ratio", diag_err, 0.0, 1e-10),
+        CheckRecord("C09.element-ratio", "matrix-element-ratio", _worst(ratio_err), 0.0, 1e-8),
+        CheckRecord("C09.contracted-diagonal", "matrix-element-ratio", _worst(diag_err), 0.0, 1e-10),
         CheckRecord("C09.gram-offdiagonal", "contracted-overlap-decay", gram_err, 0.0, 1e-6),
     ]
 
@@ -517,6 +501,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not an integer >= 1")
+    return value
+
+
 def _positive_rational(text: str) -> Fraction:
     """argparse type: an exact rational > 0, such as 1/10 or 0.25."""
     try:
@@ -557,7 +552,7 @@ def cmd_algebra_contract(args) -> list[CheckRecord]:
 
 def cmd_coset_compose(args) -> list[CheckRecord]:
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    errors = []
     for _ in range(args.samples):
         w1 = coset_rep.WeylLabel(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi))
         w2 = coset_rep.WeylLabel(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi))
@@ -565,9 +560,9 @@ def cmd_coset_compose(args) -> list[CheckRecord]:
         g2 = coset_rep.group_element(args.kind, w2)
         product, label = coset_rep.compose(g1, g2)
         closed = coset_rep.group_element(args.kind, coset_rep.weyl_compose_formula(w1, w2, kind=args.kind))
-        worst = max(worst, float(np.abs(product.entries - closed.entries).max()))
+        errors.append(float(np.abs(product.entries - closed.entries).max()))
     records = [
-        CheckRecord("compose-vs-closed-form", "weyl-composition", worst, 0.0, args.tolerance or 1e-10)
+        CheckRecord("compose-vs-closed-form", "weyl-composition", _worst(errors), 0.0, args.tolerance or 1e-10)
     ]
     if args.kind == "phase":
         w1 = coset_rep.WeylLabel([1, 0, 0], [0, 0, 0], 0.0)
@@ -616,15 +611,15 @@ def cmd_coherent_overlap(args) -> list[CheckRecord]:
                 1e-8,
             )
         )
-        worst = 0.0
+        errors = []
         for _ in range(50):
             p1, x1, p2, x2 = rng.uniform(-2, 2, size=4)
             got = hilbert.overlap(
                 hilbert.coherent_state(space, p1, x1), hilbert.coherent_state(space, p2, x2)
             )
             want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
-            worst = max(worst, abs(got - want))
-        records.append(CheckRecord("moderate-labels", "overlap-closed-form", worst, 0.0, 1e-10))
+            errors.append(abs(got - want))
+        records.append(CheckRecord("moderate-labels", "overlap-closed-form", _worst(errors), 0.0, 1e-10))
         if args.modes == 3:
             records.append(
                 CheckRecord(
@@ -637,15 +632,15 @@ def cmd_coherent_overlap(args) -> list[CheckRecord]:
             )
     else:
         grid = hilbert.GridSpace(args.grid_extent, args.grid_points)
-        worst = 0.0
+        errors = []
         for _ in range(50):
             p1, x1, p2, x2 = rng.uniform(-2, 2, size=4)
             got = hilbert.overlap(
                 hilbert.grid_coherent_state(grid, p1, x1), hilbert.grid_coherent_state(grid, p2, x2)
             )
             want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
-            worst = max(worst, abs(got - want))
-        records.append(CheckRecord("grid-vs-closed-form", "overlap-closed-form", worst, 0.0, 1e-9))
+            errors.append(abs(got - want))
+        records.append(CheckRecord("grid-vs-closed-form", "overlap-closed-form", _worst(errors), 0.0, 1e-9))
         pairs = []
         for _ in range(50):
             p1, x1, p2, x2 = rng.uniform(-2, 2, size=4)
@@ -655,7 +650,7 @@ def cmd_coherent_overlap(args) -> list[CheckRecord]:
             CheckRecord(
                 "backend-cross-validation",
                 "plumbing",
-                max(r["abs_diff"] for r in diffs),
+                _worst([r["abs_diff"] for r in diffs]),
                 0.0,
                 1e-7,
             )
@@ -664,14 +659,23 @@ def cmd_coherent_overlap(args) -> list[CheckRecord]:
 
 
 def _parse_pair(text: str):
-    parts = dict(kv.split("=") for kv in text.split(","))
-    dx = float(parts.get("dx", 1.0))
-    dp = float(parts.get("dp", 0.0))
-    return ((0.0, 0.0, 0.0), (dp, dx, 0.0))
+    """argparse type: "dx=<value>,dp=<value>" (dx defaults to 1, dp to 0) ->
+    the label pair ((0, 0, 0), (dp, dx, 0)); any other key, a repeated key or
+    a non-finite value is rejected."""
+    values = {"dx": 1.0, "dp": 0.0}
+    seen = set()
+    for item in text.split(","):
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep or key not in values or key in seen:
+            raise argparse.ArgumentTypeError(f"{item!r} is not dx=<value> or dp=<value> (each at most once)")
+        seen.add(key)
+        values[key] = _finite_float(value)
+    return ((0.0, 0.0, 0.0), (values["dp"], values["dx"], 0.0))
 
 
 def cmd_contract_sweep(args) -> tuple:
-    pair = _parse_pair(args.pair)
+    pair = args.pair
     config = contraction_lab.ContractionRunConfig(
         k_values=_float_list(args.k), pairs=(pair,), seed=args.seed
     )
@@ -807,13 +811,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default=".", help="directory for report files")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--tolerance", type=float, default=None, help="override the main tolerance")
+    parser.add_argument("--tolerance", type=_positive_float, default=None, help="override the main tolerance")
     # same flags accepted after the subcommand as well; SUPPRESS keeps the
     # top-level value when the subcommand does not repeat them
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", default=argparse.SUPPRESS)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
+    shared.add_argument("--tolerance", type=_positive_float, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser(
@@ -827,14 +831,14 @@ def make_parser() -> argparse.ArgumentParser:
         "algebra-contract", help="contract and take the limit table", parents=[shared]
     )
     s.add_argument("--builtin", default="HR3", choices=["HR3", "HR3_with_H"])
-    s.add_argument("--k", type=float, default=10.0)
+    s.add_argument("--k", type=_positive_float, default=10.0)
     s.set_defaults(func=cmd_algebra_contract)
 
     s = sub.add_parser(
         "coset-compose", help="matrix composition vs closed form", parents=[shared]
     )
     s.add_argument("--kind", default="phase", choices=["phase", "config"])
-    s.add_argument("--samples", type=int, default=300)
+    s.add_argument("--samples", type=_positive_int, default=300)
     s.set_defaults(func=cmd_coset_compose)
 
     s = sub.add_parser(
@@ -843,14 +847,14 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--backend", default="fock", choices=["fock", "grid"])
     s.add_argument("--cutoff", type=int, default=64)
     s.add_argument("--modes", type=int, default=1, choices=[1, 3])
-    s.add_argument("--grid-extent", type=float, default=10.0)
+    s.add_argument("--grid-extent", type=_positive_float, default=10.0)
     s.add_argument("--grid-points", type=int, default=160)
     s.set_defaults(func=cmd_coherent_overlap)
 
     s = sub.add_parser(
         "contract-sweep", help="overlap decay under contraction", parents=[shared]
     )
-    s.add_argument("--pair", default="dx=1,dp=0")
+    s.add_argument("--pair", type=_parse_pair, default="dx=1,dp=0")
     s.add_argument("--k", default="1,2,3,4,6,8")
     s.set_defaults(func=cmd_contract_sweep, writes_csv="contract_sweep.csv")
 
@@ -900,20 +904,21 @@ def main(argv=None) -> int:
     }
     try:
         result = args.func(args)
-    except (ValueError, hilbert.TruncationGuardError) as exc:
+        records, csv_rows = result if isinstance(result, tuple) else (result, None)
+        for r in records:
+            for value in (r.measured, r.predicted, r.tolerance):
+                if not math.isfinite(value):
+                    raise ValueError(f"check {r.check_id}: non-finite value {value}")
+    # TruncationGuardError is a ValueError; OverflowError is an ArithmeticError
+    except (ValueError, ArithmeticError) as exc:
         records = [CheckRecord("diagnostic", "plumbing", 1.0, 0.0, 0.0)]
         manifest = build_manifest(args.command, parameters, args.seed)
         report = build_report(manifest, records)
-        report["error"] = str(exc)
+        report["error"] = f"{type(exc).__name__}: {exc}"
         path = out_dir / f"{args.command.replace('-', '_')}_report.json"
         path.write_text(serialize_report(report))
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {report['error']}", file=sys.stderr)
         return 1
-
-    if isinstance(result, tuple):
-        records, csv_rows = result
-    else:
-        records, csv_rows = result, None
 
     manifest = build_manifest(args.command, parameters, args.seed)
     report = build_report(manifest, records)

@@ -222,3 +222,64 @@ def test_serializer_writes_full_precision_floats():
 def test_pair_argument_parser():
     assert cli._parse_pair("dx=1,dp=0") == ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     assert cli._parse_pair("dx=0.5,dp=2") == ((0.0, 0.0, 0.0), (2.0, 0.5, 0.0))
+
+
+def test_nan_grid_error_fails_the_check(monkeypatch):
+    formula = cli.hilbert.coherent_overlap_formula
+
+    def poisoned(p1, x1, theta1, p2, x2, theta2):
+        # one label pair in the middle of the 1D grid loop, given as scalars
+        # (the grid loops) or as 1-vectors (inside matrix_element_formula)
+        if [np.ravel(v).tolist() for v in (p1, x1, p2, x2)] == [[1.5], [0.0], [-1.5], [3.0]]:
+            return complex(math.nan, 0.0)
+        return formula(p1, x1, theta1, p2, x2, theta2)
+
+    monkeypatch.setattr(cli.hilbert, "coherent_overlap_formula", poisoned)
+    records = {r.check_id: r for r in cli.criterion_04_overlaps(np.random.default_rng(7))}
+    records.update((r.check_id, r) for r in cli.criterion_05_matrix_elements())
+    for check_id in ("C04.overlap-grid-1d", "C05.element-grid-1d"):
+        assert math.isnan(records[check_id].measured), check_id
+        assert not records[check_id].passed, check_id
+    assert records["C04.overlap-3d"].passed
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("star-limit-sweep", "--hbar", "1e300,1e-2"), "OverflowError"),
+        (("star-limit-sweep", "--hbar", "1.2e154,1e-2"), "check limit-slope: non-finite value nan"),
+    ],
+)
+def test_arithmetic_failures_write_a_diagnostic_report(tmp_path, capsys, argv, error):
+    code, report = run_cli(tmp_path, *argv)
+    assert code == 1
+    assert error in report["error"]
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("coset-compose", "--samples", "0"), "argument --samples: 0 is not an integer >= 1"),
+        (("coset-compose", "--samples=-3"), "argument --samples: -3 is not an integer >= 1"),
+        (("coset-compose", "--samples", "2.5"), "argument --samples: '2.5' is not an integer"),
+        (("algebra-contract", "--k", "inf"), "argument --k: inf is not a finite value"),
+        (("algebra-contract", "--k", "0"), "argument --k: 0 is not a finite positive value"),
+        (("contract-sweep", "--pair", "dy=1"), "argument --pair: 'dy=1' is not dx=<value> or dp=<value>"),
+        (("contract-sweep", "--pair", "dx=1,dx=2"), "argument --pair: 'dx=2' is not dx=<value> or dp=<value>"),
+        (("contract-sweep", "--pair", "dx"), "argument --pair: 'dx' is not dx=<value> or dp=<value>"),
+        (("contract-sweep", "--pair", "dx=nan"), "argument --pair: nan is not a finite value"),
+        (("contract-sweep", "--pair", "dp=inf"), "argument --pair: inf is not a finite value"),
+        (("--tolerance", "nan", "coset-compose"), "argument --tolerance: nan is not a finite value"),
+        (("coherent-overlap", "--backend", "grid", "--grid-extent", "nan"), "argument --grid-extent: nan is not a finite value"),
+    ],
+)
+def test_bad_input_rejected_at_parser(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_report.json"))

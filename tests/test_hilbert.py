@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from qclimit.hilbert import (
     coherent_overlap_formula,
     coherent_state,
     cross_validate_backends,
+    fock_gram_hp,
     fock_matrix_element_hp,
     fock_overlap_hp,
     grid_coherent_state,
@@ -228,6 +231,83 @@ def test_three_mode_overlap_matches_closed_form():
     space = build_fock_space(3, 16)
     direct = overlap(coherent_state(space, p1, x1, 0.4), coherent_state(space, p2, x2, -0.2))
     assert abs(direct - want) / abs(want) < 1e-9
+
+
+def _fsum_reference(rows, cols, cutoff, kind, dps=50):
+    """The mpmath route the kernel replaced: per-label coefficients and
+    ladder images in mpmath, one fsum per element; mpc values."""
+    with mpmath.workdps(dps):
+        tables = {}
+        for p, x in dict.fromkeys(list(rows) + list(cols)):
+            alpha = (mpmath.mpf(x) + 1j * mpmath.mpf(p)) / mpmath.sqrt(2)
+            c = [mpmath.exp(-0.5 * abs(alpha) ** 2)]
+            for n in range(1, cutoff + 1):
+                c.append(c[-1] * alpha / mpmath.sqrt(n))
+            lowered = [mpmath.sqrt(n + 1) * c[n + 1] for n in range(cutoff)] + [mpmath.mpc(0)]
+            raised = [mpmath.mpc(0)] + [mpmath.sqrt(n) * c[n - 1] for n in range(1, cutoff + 1)]
+            xc = [(lo + ra) / mpmath.sqrt(2) for lo, ra in zip(lowered, raised)]
+            pc = [(lo - ra) / (1j * mpmath.sqrt(2)) for lo, ra in zip(lowered, raised)]
+            tables[(p, x)] = {"c": c, "X": xc, "P": pc}
+        return [
+            [
+                mpmath.fsum((mpmath.conj(a) * b for a, b in zip(tables[r]["c"], tables[c][kind])), absolute=False)
+                for c in cols
+            ]
+            for r in rows
+        ]
+
+
+GRID_LABELS = list(itertools.product((-3.0, -1.5, 0.0, 1.5, 3.0), repeat=2))
+
+
+@pytest.mark.parametrize("kind", ["c", "X", "P"])
+def test_fock_gram_hp_matches_fsum_reference_on_the_label_grid(kind):
+    from qclimit.hilbert import _fock_gram_fixed
+
+    ref = _fsum_reference(GRID_LABELS, GRID_LABELS, 64, kind)
+    got = fock_gram_hp(GRID_LABELS, GRID_LABELS, 64, kind)
+    re, im, frac = _fock_gram_fixed(GRID_LABELS, GRID_LABELS, 64, kind, 30)
+    assert got.shape == (25, 25)
+    with mpmath.workdps(50):
+        for i, j in itertools.product(range(25), repeat=2):
+            # the exact 30-digit sums, before the final rounding
+            exact = mpmath.mpc(mpmath.ldexp(int(re[i, j]), -frac), mpmath.ldexp(int(im[i, j]), -frac))
+            assert abs(exact - ref[i][j]) <= 1e-28
+            # rounded once, so equal to the rounded reference
+            assert abs(got[i, j] - complex(ref[i][j])) <= 1e-28
+
+
+def test_fock_gram_hp_rectangular_rows_and_columns():
+    rows = [(0.3, -1.2), (2.0, 0.5)]
+    cols = [(-0.7, 0.1), (0.3, -1.2), (1.1, 1.1)]
+    got = fock_gram_hp(rows, cols, 24, "X")
+    ref = _fsum_reference(rows, cols, 24, "X")
+    assert got.shape == (2, 3)
+    for i, j in itertools.product(range(2), range(3)):
+        assert abs(got[i, j] - complex(ref[i][j])) <= 1e-28
+
+
+def test_fock_overlap_hp_matches_fsum_reference_in_three_modes():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        p1, x1, p2, x2 = (rng.uniform(-1.5, 1.5, size=3) for _ in range(4))
+        t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
+        with mpmath.workdps(50):
+            ref = mpmath.mpc(1)
+            for i in range(3):
+                ref *= _fsum_reference([(p1[i], x1[i])], [(p2[i], x2[i])], 16, "c")[0][0]
+            ref *= mpmath.exp(1j * (mpmath.mpf(t2) - mpmath.mpf(t1)))
+            got = fock_overlap_hp(p1, x1, t1, p2, x2, t2, cutoff=16)
+            assert abs(got - complex(ref)) <= 1e-28
+
+
+def test_fock_gram_hp_rejects_unknown_kind_and_non_finite_labels():
+    with pytest.raises(ValueError, match="kind must be one of"):
+        fock_gram_hp([(0.0, 0.0)], [(0.0, 0.0)], 8, "Y")
+    with pytest.raises(ValueError, match="kind must be 'X' or 'P'"):
+        fock_matrix_element_hp("c", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, cutoff=8)
+    with pytest.raises(ValueError, match="finite"):
+        fock_gram_hp([(math.nan, 0.0)], [(0.0, 0.0)], 8, "c")
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +528,48 @@ def test_operator_brackets_match_structure_constants():
     assert report.clean
     assert report.max_deviation < 1e-10
     assert len(report.per_bracket) == 45
+
+
+def test_operator_bracket_check_matches_dense_reference():
+    from qclimit.lie_core import build_standard_algebra
+
+    space = build_fock_space(3, 6)
+    table = build_standard_algebra("HR3")
+    ops = {"J23": space.j_axis_op(1), "J31": space.j_axis_op(2), "J12": space.j_axis_op(3), "I": space.identity()}
+    for i in (1, 2, 3):
+        ops[f"X{i}"] = space.x_op(i)
+        ops[f"P{i}"] = space.p_op(i)
+    mask = space.safe_mask(margin=2)
+    names = [g.name for g in table.generators]
+    want = {}
+    for ia, ib in itertools.combinations(range(len(names)), 2):
+        a, b = ops[names[ia]], ops[names[ib]]
+        delta = a @ b - b @ a
+        for tgt, coeff, _ in table.entries.get((ia, ib), ()):
+            delta = delta - 1j * coeff * ops[names[tgt]]
+        want[f"{names[ia]},{names[ib]}"] = float(np.abs(delta.toarray()[np.ix_(mask, mask)]).max())
+    report = operator_commutator_check(space, table)
+    assert list(report.per_bracket) == list(want)
+    for key, value in want.items():
+        assert report.per_bracket[key] == value, key
+    assert report.max_deviation == max(want.values())
+
+
+def test_operator_bracket_check_propagates_nan():
+    from qclimit.lie_core import build_standard_algebra, make_table
+
+    good = build_standard_algebra("HR3")
+    names = [g.name for g in good.generators]
+    poisoned = {}
+    for (a, b), terms in good.entries.items():
+        if a < b:
+            if (names[a], names[b]) == ("X2", "P2"):
+                terms = ((terms[0][0], math.nan, terms[0][2]),)
+            poisoned[(a, b)] = terms
+    report = operator_commutator_check(build_fock_space(3, 6), make_table("poisoned", good.generators, poisoned))
+    assert math.isnan(report.per_bracket["X2,P2"])
+    assert math.isnan(report.max_deviation)
+    assert not report.clean
 
 
 def test_operator_bracket_check_flags_wrong_table():
