@@ -466,20 +466,26 @@ def battery_by_criterion(records) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
+def _checked_float_list(text: str, ok, what: str) -> tuple:
+    """Comma-separated numbers, each passing ok, or an argparse error naming what they must be."""
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
+    for v in values:
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"{v:g} is not {what}")
+    return values
 
 
 def _positive_float_list(text: str) -> tuple:
     """argparse type: comma-separated finite values > 0."""
-    try:
-        values = _float_list(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
-    for v in values:
-        if not 0.0 < v < math.inf:
-            raise argparse.ArgumentTypeError(f"{v:g} is not a finite positive value")
-    return values
+    return _checked_float_list(text, lambda v: 0.0 < v < math.inf, "a finite positive value")
+
+
+def _nonnegative_float_list(text: str) -> tuple:
+    """argparse type: comma-separated finite values >= 0."""
+    return _checked_float_list(text, lambda v: 0.0 <= v < math.inf, "a finite value >= 0")
 
 
 def _finite_float(text: str) -> float:
@@ -525,8 +531,7 @@ def _positive_rational(text: str) -> Fraction:
 
 def cmd_algebra_verify(args) -> list[CheckRecord]:
     table = lie_core.build_standard_algebra(args.builtin)
-    eps = _float_list(args.eps) if args.eps else ACCEPT_EPS
-    ver = lie_core.verify_algebra(table, eps)
+    ver = lie_core.verify_algebra(table, args.eps or ACCEPT_EPS)
     sym = lie_core.verify_algebra_symbolic(table)
     return [
         CheckRecord("antisymmetry", "bracket-antisymmetry", ver.antisymmetry_max, 0.0, 0.0),
@@ -677,7 +682,7 @@ def _parse_pair(text: str):
 def cmd_contract_sweep(args) -> tuple:
     pair = args.pair
     config = contraction_lab.ContractionRunConfig(
-        k_values=_float_list(args.k), pairs=(pair,), seed=args.seed
+        k_values=args.k, pairs=(pair,), seed=args.seed
     )
     sweep = contraction_lab.overlap_decay_sweep(config)
     records = []
@@ -824,7 +829,9 @@ def make_parser() -> argparse.ArgumentParser:
         "algebra-verify", help="bracket axioms of a built-in table", parents=[shared]
     )
     s.add_argument("--builtin", default="HR3", choices=["HR3", "HR3_with_H"])
-    s.add_argument("--eps", default=None, help="comma-separated deformation values")
+    s.add_argument(
+        "--eps", type=_nonnegative_float_list, default=None, help="comma-separated deformation values >= 0"
+    )
     s.set_defaults(func=cmd_algebra_verify)
 
     s = sub.add_parser(
@@ -855,7 +862,7 @@ def make_parser() -> argparse.ArgumentParser:
         "contract-sweep", help="overlap decay under contraction", parents=[shared]
     )
     s.add_argument("--pair", type=_parse_pair, default="dx=1,dp=0")
-    s.add_argument("--k", default="1,2,3,4,6,8")
+    s.add_argument("--k", type=_positive_float_list, default="1,2,3,4,6,8", help="comma-separated values > 0")
     s.set_defaults(func=cmd_contract_sweep, writes_csv="contract_sweep.csv")
 
     s = sub.add_parser(

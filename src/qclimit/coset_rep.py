@@ -121,7 +121,7 @@ def _check_rotation(rotation: np.ndarray) -> np.ndarray:
     r = np.asarray(rotation, dtype=float)
     if r.shape != (3, 3):
         raise ValueError("rotation must be 3x3")
-    if np.abs(r.T @ r - np.eye(3)).max() > ORTHO_TOL:
+    if not np.abs(r.T @ r - np.eye(3)).max() <= ORTHO_TOL:
         raise ValueError("rotation is not orthogonal within 1e-12")
     if np.linalg.det(r) < 0:
         raise ValueError("rotation must have determinant +1")

@@ -174,10 +174,10 @@ def build_fock_space(modes: int, cutoff: int) -> FockSpace:
     # canonical up to the truncation edge, where the correction -(N+1)|N><N| lives
     edge = np.ones(space.mode_dim)
     edge[-1] = -space.cutoff
-    if np.abs(np.diff(s2) - edge).max() > 1e-12:
+    if not np.abs(np.diff(s2) - edge).max() <= 1e-12:
         raise AssertionError("ladder commutator defect outside the truncation edge")
     for sub, sup in _quadrature_bands(space.mode_dim).values():
-        if np.abs(sub - sup.conj()).max() > 1e-14:
+        if not np.abs(sub - sup.conj()).max() <= 1e-14:
             raise AssertionError("quadrature operator failed Hermiticity check")
     return space
 
@@ -747,10 +747,10 @@ def projective_flow_check(
     if steps < 1:
         raise ValueError(f"t_final={t_final} is less than one step of dt={dt}")
     h = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
-    if np.abs(h - h.conj().T).max() > 1e-12:
+    if not np.abs(h - h.conj().T).max() <= 1e-12:
         raise ValueError("hamiltonian must be Hermitian")
     c0 = initial.coefficients.astype(complex)
-    if abs(np.linalg.norm(c0) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(c0) - 1.0) <= 1e-6:
         raise ValueError("initial state must be normalized")
 
     path_a = _rk4(-1j * h, c0, dt, steps, sample_every)

@@ -12,6 +12,7 @@ terms with positive ``power`` rather than a numerical limit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -346,33 +347,32 @@ def verify_algebra(
     """Check antisymmetry and the Jacobi identity at each sampled eps."""
     if len(eps_samples) == 0:
         raise ValueError("eps_samples must be non-empty")
-    if any(e < 0 for e in eps_samples):
-        raise ValueError("eps samples must be >= 0")
-    anti = 0.0
-    jac = 0.0
+    if not all(0.0 <= e < math.inf for e in eps_samples):
+        raise ValueError("eps samples must be finite and >= 0")
+    anti, jac = [], []
     for eps in eps_samples:
         c = table.coefficient_tensor(eps)
-        anti = max(anti, float(np.abs(c + c.transpose(1, 0, 2)).max()))
-        jac = max(jac, float(np.abs(_jacobi_residual(c, c)).max()))
-    return VerificationReport(anti, jac, tuple(float(e) for e in eps_samples))
+        anti.append(np.abs(c + c.transpose(1, 0, 2)).max())
+        jac.append(np.abs(_jacobi_residual(c, c)).max())
+    # np.max, unlike a running max(), propagates NaN
+    return VerificationReport(
+        float(np.max(anti)), float(np.max(jac)), tuple(float(e) for e in eps_samples)
+    )
 
 
 def verify_algebra_symbolic(table: StructureConstantTable) -> VerificationReport:
     """Exact verification: residuals collected per eps power instead of sampled."""
     by_power = table.coefficient_tensor_by_power()
-    anti = 0.0
-    for c in by_power.values():
-        anti = max(anti, float(np.abs(c + c.transpose(1, 0, 2)).max()))
-    jac = 0.0
     residuals: dict[Fraction, np.ndarray] = {}
     for p1, c1 in by_power.items():
         for p2, c2 in by_power.items():
             r = _jacobi_residual(c1, c2)
             key = p1 + p2
             residuals[key] = residuals.get(key, 0.0) + r
-    for r in residuals.values():
-        jac = max(jac, float(np.abs(r).max()))
-    return VerificationReport(anti, jac, ())
+    # 0.0 stands for an empty table; np.max propagates NaN
+    anti = np.max([0.0, *(np.abs(c + c.transpose(1, 0, 2)).max() for c in by_power.values())])
+    jac = np.max([0.0, *(np.abs(r).max() for r in residuals.values())])
+    return VerificationReport(float(anti), float(jac), ())
 
 
 # ---------------------------------------------------------------------------

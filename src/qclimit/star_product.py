@@ -1,9 +1,13 @@
 """Exact deformation quantization on polynomial observables.
 
-Polynomials in (x_1..x_d, p_1..p_d, hbar) are stored as dictionaries keyed by
-exponent tuples with Gaussian-rational coefficients, so products, brackets,
-and limits are computed without rounding.  sympy appears only at the text
-boundary, to parse user-supplied expressions into this representation.
+Polynomials in (x_1..x_d, p_1..p_d, hbar) are stored in integers: one
+positive common denominator and, per exponent tuple, the integer numerators
+(re, im) of a Gaussian-rational coefficient.  The form is canonical (zero
+terms dropped, denominator and numerators reduced by their gcd), so sums,
+products, brackets, limits, equality and hashing all stay in integers and
+nothing is rounded.  Gaussian rationals (`CRat`) appear only at the edges:
+the read-only `terms` view, parsing, printing and float evaluation.  sympy
+appears only at the text boundary, to parse user-supplied expressions.
 
 The product implemented is
 
@@ -20,16 +24,22 @@ on one axis
             x^(a-j+c-l) p^(b-l+d-j)
 
 with (d)_j = d! / (d-j)!; over several axes the product of two monomials
-is the product of the per-axis sums.  `star` applies this to every pair of terms.
-It carries coefficients as integer (re, im) numerators over one common
-denominator, lcm(denominators of f) * lcm(denominators of g) * 2^top, and
-builds the Fraction coefficients only once, when the result terms are made.
+is the product of the per-axis sums.  `star` applies this to every pair of
+terms, accumulating integer numerators over the common denominator
+D_f D_g 2^top, with D_f, D_g the stored denominators and top a bound on the
+order n = |a| + |b|.
+
+The order-n term changes sign as (-1)^n when f and g swap, so f * g - g * f
+is twice the odd-order part of f * g: Moyal's sine bracket.
+`moyal_bracket` therefore takes one pass over the odd orders of f * g
+instead of forming both products.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,28 +92,81 @@ CRAT_ZERO = CRat()
 CRAT_ONE = CRat(Fraction(1))
 
 
+def _numerators(c: CRat, den: int) -> tuple:
+    """(re, im) of c as integers over den, a common multiple of their denominators."""
+    return c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+
+
+def _add_into(acc: dict, key: tuple, re: int, im: int) -> None:
+    old = acc.get(key)
+    acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+
+
+def _reduce(den: int, nums: dict) -> tuple:
+    """(den / g, every nonzero (re, im) / g), with g = gcd(den, every numerator)."""
+    g = math.gcd(den, *itertools.chain.from_iterable(nums.values()))
+    return den // g, {k: (re // g, im // g) for k, (re, im) in nums.items() if re or im}
+
+
+class _Terms(Mapping):
+    """Read-only key -> CRat view of stored numerators over one denominator."""
+
+    __slots__ = ("_den", "_nums")
+
+    def __init__(self, den: int, nums: dict):
+        self._den, self._nums = den, nums
+
+    def __getitem__(self, key) -> CRat:
+        re, im = self._nums[key]
+        return CRat(Fraction(re, self._den), Fraction(im, self._den))
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __contains__(self, key) -> bool:
+        return key in self._nums
+
+
 class PhasePolynomial:
     """Polynomial in d position variables, d momentum variables, and hbar.
 
-    Keys are exponent tuples (x_1..x_d, p_1..p_d, hbar); zero coefficients
-    are never stored.
+    Keys are exponent tuples (x_1..x_d, p_1..p_d, hbar).  The coefficient of
+    key k is (nums[k][0] + i nums[k][1]) / den, kept canonical: den > 0, no
+    zero (0, 0) pair stored, and gcd(den, every numerator) == 1, so the zero
+    polynomial has den == 1 and equal polynomials have equal storage.
+    `terms` is a read-only key -> CRat view of the coefficients.
     """
 
-    __slots__ = ("dims", "terms")
+    __slots__ = ("dims", "den", "nums")
 
     def __init__(self, dims: int, terms: dict | None = None):
         if dims < 1:
             raise ValueError("dims must be >= 1")
+        terms = terms or {}
+        width = 2 * dims + 1
+        for key in terms:
+            if len(key) != width or any(e < 0 for e in key):
+                raise ValueError(f"bad exponent key {key} for dims={dims}")
+        den = math.lcm(*(q.denominator for c in terms.values() for q in (c.re, c.im)))
         self.dims = dims
-        clean = {}
-        if terms:
-            width = 2 * dims + 1
-            for key, coeff in terms.items():
-                if len(key) != width or any(e < 0 for e in key):
-                    raise ValueError(f"bad exponent key {key} for dims={dims}")
-                if not coeff.is_zero:
-                    clean[tuple(key)] = coeff
-        self.terms = clean
+        self.den, self.nums = _reduce(
+            den, {tuple(key): _numerators(c, den) for key, c in terms.items()}
+        )
+
+    @classmethod
+    def _of(cls, dims: int, den: int, nums: dict) -> "PhasePolynomial":
+        """From integer (re, im) numerators over den > 0, reduced to canonical form."""
+        poly = object.__new__(cls)
+        poly.dims = dims
+        poly.den, poly.nums = _reduce(den, nums)
+        return poly
+
+    @property
+    def terms(self) -> "_Terms":
+        return _Terms(self.den, self.nums)
 
     # -- constructors ------------------------------------------------------
 
@@ -140,89 +203,97 @@ class PhasePolynomial:
         if self.dims != other.dims:
             raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
 
-    def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
+    def _plus(self, other: "PhasePolynomial", sign: int) -> "PhasePolynomial":
+        """self + sign * other over lcm(self.den, other.den)."""
         self._check(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, CRAT_ZERO) + coeff
-        return PhasePolynomial(self.dims, out)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {key: (re * a, im * a) for key, (re, im) in self.nums.items()}
+        for key, (re, im) in other.nums.items():
+            _add_into(out, key, re * b, im * b)
+        return PhasePolynomial._of(self.dims, den, out)
+
+    def __add__(self, other: "PhasePolynomial") -> "PhasePolynomial":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "PhasePolynomial":
-        return PhasePolynomial(self.dims, {k: -c for k, c in self.terms.items()})
+        return PhasePolynomial._of(
+            self.dims, self.den, {k: (-re, -im) for k, (re, im) in self.nums.items()}
+        )
 
     def __mul__(self, other: "PhasePolynomial") -> "PhasePolynomial":
         self._check(other)
         out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, (r1, i1) in self.nums.items():
+            for k2, (r2, i2) in other.nums.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, CRAT_ZERO) + c1 * c2
-        return PhasePolynomial(self.dims, out)
+                _add_into(out, key, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+        return PhasePolynomial._of(self.dims, self.den * other.den, out)
 
     def scale(self, coeff: CRat) -> "PhasePolynomial":
-        return PhasePolynomial(self.dims, {k: c * coeff for k, c in self.terms.items()})
+        c_den = math.lcm(coeff.re.denominator, coeff.im.denominator)
+        cr, ci = _numerators(coeff, c_den)
+        return PhasePolynomial._of(
+            self.dims,
+            self.den * c_den,
+            {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in self.nums.items()},
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PhasePolynomial)
             and self.dims == other.dims
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.dims, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        return hash((self.dims, self.den, frozenset(self.nums.items())))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, slot: int) -> "PhasePolynomial":
         """Derivative with respect to exponent slot (0-based key position)."""
         out = {}
-        for key, coeff in self.terms.items():
+        for key, (re, im) in self.nums.items():
             e = key[slot]
-            if e == 0:
-                continue
-            nk = list(key)
-            nk[slot] = e - 1
-            out[tuple(nk)] = coeff.scale(Fraction(e))
-        return PhasePolynomial(self.dims, out)
+            if e:
+                out[key[:slot] + (e - 1,) + key[slot + 1 :]] = (re * e, im * e)
+        return PhasePolynomial._of(self.dims, self.den, out)
 
     def degree_in(self, slot: int) -> int:
-        return max((k[slot] for k in self.terms), default=0)
+        return max((k[slot] for k in self.nums), default=0)
 
     def shift_hbar(self, amount: int) -> "PhasePolynomial":
-        out = {}
-        for key, coeff in self.terms.items():
-            nk = list(key)
-            nk[-1] += amount
-            if nk[-1] < 0:
-                raise ValueError("negative hbar exponent")
-            out[tuple(nk)] = coeff
-        return PhasePolynomial(self.dims, out)
+        if any(k[-1] + amount < 0 for k in self.nums):
+            raise ValueError("negative hbar exponent")
+        return PhasePolynomial._of(
+            self.dims, self.den, {k[:-1] + (k[-1] + amount,): v for k, v in self.nums.items()}
+        )
 
     def substitute_hbar_zero(self) -> "PhasePolynomial":
-        return PhasePolynomial(
-            self.dims, {k: c for k, c in self.terms.items() if k[-1] == 0}
+        return PhasePolynomial._of(
+            self.dims, self.den, {k: v for k, v in self.nums.items() if k[-1] == 0}
         )
 
     def substitute_hbar(self, value: Fraction) -> "PhasePolynomial":
         """Replace the deformation symbol by an exact rational value."""
         value = Fraction(value)
+        p, q = value.numerator, value.denominator
+        top = self.degree_in(2 * self.dims)
         out = {}
-        for key, coeff in self.terms.items():
-            nk = key[:-1] + (0,)
-            scaled = coeff.scale(value ** key[-1])
-            if nk in out:
-                out[nk] = out[nk] + scaled
-            else:
-                out[nk] = scaled
-        return PhasePolynomial(self.dims, out)
+        # (re / den) (p / q)^e = re p^e q^(top - e) / (den q^top)
+        for key, (re, im) in self.nums.items():
+            w = p ** key[-1] * q ** (top - key[-1])
+            _add_into(out, key[:-1] + (0,), re * w, im * w)
+        return PhasePolynomial._of(self.dims, self.den * q**top, out)
 
     def evaluate(self, xs, ps, hbar: float) -> complex:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -230,8 +301,9 @@ class PhasePolynomial:
         if xs.shape != (self.dims,) or ps.shape != (self.dims,):
             raise ValueError("evaluation point has wrong dimension")
         total = 0.0 + 0.0j
-        for key, coeff in self.terms.items():
-            val = coeff.to_complex()
+        for key, (re, im) in self.nums.items():
+            # int / int rounds correctly, as float(Fraction(re, den)) does
+            val = complex(re / self.den, im / self.den)
             for i in range(self.dims):
                 val *= xs[i] ** key[i] * ps[i] ** key[self.dims + i]
             val *= hbar ** key[-1]
@@ -362,50 +434,41 @@ def _axis_star(a: int, b: int, c: int, d: int) -> tuple:
     )
 
 
-def _monomial_star(f_key: tuple, g_key: tuple, dims: int) -> list:
-    """Per-axis expansions multiplied across axes: (x and p exponents, n, integer)."""
+@lru_cache(maxsize=1 << 12)
+def _monomial_star(f_xp: tuple, g_xp: tuple, odd_only: bool) -> tuple:
+    """Per-axis expansions of two hbar-free keys multiplied across axes:
+    (x and p exponents, n, integer), keeping only odd n if odd_only."""
+    dims = len(f_xp) // 2
     out = [((), (), 0, 1)]
     for axis in range(dims):
-        table = _axis_star(f_key[axis], f_key[dims + axis], g_key[axis], g_key[dims + axis])
+        table = _axis_star(f_xp[axis], f_xp[dims + axis], g_xp[axis], g_xp[dims + axis])
         out = [
             (xs + (xe,), ps + (pe,), n + m, c * e)
             for xs, ps, n, c in out
             for xe, pe, m, e in table
         ]
-    return [(xs + ps, n, c) for xs, ps, n, c in out]
+    return tuple((xs + ps, n, c) for xs, ps, n, c in out if n & 1 or not odd_only)
 
 
-def _integer_numerators(poly: PhasePolynomial) -> tuple:
-    """(D, [(key, re * D, im * D)]) with D the lcm of every coefficient denominator."""
-    den = math.lcm(*(q.denominator for c in poly.terms.values() for q in (c.re, c.im)))
-    return den, [
-        (key, c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-        for key, c in poly.terms.items()
-    ]
-
-
-def star(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """Associative deformed product; noncommutative at order hbar.
-
-    Integer (re, im) numerators accumulate over the common denominator
-    D_f D_g 2^top, where top bounds the order n of every correction.
-    """
+def _star_numerators(f: PhasePolynomial, g: PhasePolynomial, odd_only: bool) -> tuple:
+    """(numerators, den): the terms of f * g, or only its odd orders n, over
+    den = D_f D_g 2^top, where top bounds the order n of every correction."""
     f._check(g)
     d = f.dims
     top = sum(
         min(f.degree_in(i), g.degree_in(d + i)) + min(f.degree_in(d + i), g.degree_in(i))
         for i in range(d)
     )
-    f_den, f_terms = _integer_numerators(f)
-    g_den, g_terms = _integer_numerators(g)
+    g_terms = [(k[:-1], k[-1], re, im) for k, (re, im) in g.nums.items()]
     acc = {}
-    for f_key, fr, fi in f_terms:
-        for g_key, gr, gi in g_terms:
+    for f_key, (fr, fi) in f.nums.items():
+        f_xp = f_key[:-1]
+        for g_xp, g_hbar, gr, gi in g_terms:
             re, im = fr * gr - fi * gi, fr * gi + fi * gr
             # (re + i im) * i^n, indexed by n mod 4
             turns = ((re, im), (-im, re), (-re, -im), (im, -re))
-            hbar = f_key[-1] + g_key[-1]
-            for xp, n, c in _monomial_star(f_key, g_key, d):
+            hbar = f_key[-1] + g_hbar
+            for xp, n, c in _monomial_star(f_xp, g_xp, odd_only):
                 tr, ti = turns[n & 3]
                 # (i hbar / 2)^n = i^n hbar^n 2^(top - n) / 2^top
                 c <<= top - n
@@ -416,24 +479,25 @@ def star(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
                 else:
                     entry[0] += c * tr
                     entry[1] += c * ti
-    den = (f_den * g_den) << top
-    return PhasePolynomial(
-        d,
-        {
-            key: CRat(Fraction(re, den), Fraction(im, den))
-            for key, (re, im) in acc.items()
-            if re or im
-        },
-    )
+    return acc, (f.den * g.den) << top
+
+
+def star(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
+    """Associative deformed product; noncommutative at order hbar."""
+    nums, den = _star_numerators(f, g, odd_only=False)
+    return PhasePolynomial._of(f.dims, den, nums)
 
 
 def moyal_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """(f*g - g*f) / (i hbar), exact: the numerator always carries hbar."""
-    num = star(f, g) - star(g, f)
-    if any(k[-1] == 0 for k in num.terms):
-        raise AssertionError("star antisymmetry lost an hbar factor")
-    lowered = num.shift_hbar(-1)
-    return PhasePolynomial(f.dims, {k: c.times_minus_i() for k, c in lowered.terms.items()})
+    """(f*g - g*f) / (i hbar), exact, as 2 (f*g)_odd / (i hbar) in one pass.
+
+    Every odd-order term carries at least one hbar, so the division lowers
+    the hbar exponent by one; (re + i im) * 2 / i = 2 im - 2 i re.
+    """
+    nums, den = _star_numerators(f, g, odd_only=True)
+    return PhasePolynomial._of(
+        f.dims, den, {k[:-1] + (k[-1] - 1,): (2 * im, -2 * re) for k, (re, im) in nums.items()}
+    )
 
 
 def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
@@ -468,15 +532,6 @@ def canonical_commutator_check(dims: int, max_degree: int) -> dict:
                 worst_ok = False
             checked += 1
     return {"checked": checked, "exact": worst_ok}
-
-
-def generator_identity_defect(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """f*g - g*f - i hbar {f, g}_moyal; identically zero by construction."""
-    hbar = PhasePolynomial.variable(f.dims, "hbar")
-    bracket = moyal_bracket(f, g)
-    return star(f, g) - star(g, f) - (hbar * bracket).scale(
-        CRat(im=Fraction(1))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,13 @@ def test_arithmetic_failures_write_a_diagnostic_report(tmp_path, capsys, argv, e
         (("contract-sweep", "--pair", "dp=inf"), "argument --pair: inf is not a finite value"),
         (("--tolerance", "nan", "coset-compose"), "argument --tolerance: nan is not a finite value"),
         (("coherent-overlap", "--backend", "grid", "--grid-extent", "nan"), "argument --grid-extent: nan is not a finite value"),
+        (("algebra-verify", "--eps", "nan"), "argument --eps: nan is not a finite value >= 0"),
+        (("algebra-verify", "--eps", "0,-0.5"), "argument --eps: -0.5 is not a finite value >= 0"),
+        (("algebra-verify", "--eps", "0,inf"), "argument --eps: inf is not a finite value >= 0"),
+        (("algebra-verify", "--eps", "0,x"), "argument --eps: '0,x' is not a comma-separated list of numbers"),
+        (("contract-sweep", "--k", "1,inf"), "argument --k: inf is not a finite positive value"),
+        (("contract-sweep", "--k", "1,nan"), "argument --k: nan is not a finite positive value"),
+        (("contract-sweep", "--k", "1,,2"), "argument --k: '1,,2' is not a comma-separated list of numbers"),
     ],
 )
 def test_bad_input_rejected_at_parser(tmp_path, capsys, argv, message):

@@ -141,6 +141,10 @@ def test_group_element_rejects_bad_rotation():
         group_element("phase", w, np.eye(3) * 1.001)
     with pytest.raises(ValueError):
         group_element("phase", w, np.diag([1.0, 1.0, -1.0]))
+    nan_rotation = np.eye(3)
+    nan_rotation[0, 1] = math.nan
+    with pytest.raises(ValueError, match="orthogonal"):
+        group_element("phase", w, nan_rotation)
 
 
 def test_compose_pinned_pair():

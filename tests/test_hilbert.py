@@ -79,6 +79,22 @@ def test_non_hermitian_quadrature_fails_check(monkeypatch):
         build_fock_space(1, 16)
 
 
+@pytest.mark.parametrize("band", ["ladder", "quadrature"])
+def test_nan_band_fails_fock_space_checks(monkeypatch, band):
+    from qclimit import hilbert
+
+    ladder, bands = hilbert._ladder, hilbert._quadrature_bands
+    if band == "ladder":
+        monkeypatch.setattr(hilbert, "_ladder", lambda n: np.append(ladder(n)[:-1], math.nan))
+        message = "ladder commutator defect"
+    else:
+        nan_x = (np.full(16, math.nan),) * 2
+        monkeypatch.setattr(hilbert, "_quadrature_bands", lambda n: {**bands(n), "X": nan_x})
+        message = "Hermiticity"
+    with pytest.raises(AssertionError, match=message):
+        build_fock_space(1, 16)
+
+
 def test_position_operator_small_cutoff_matrix():
     space = build_fock_space(1, 2)
     expected = np.array(
@@ -788,3 +804,10 @@ def test_flow_validates_inputs():
     unnorm = StateVector("fock", space, 2.0 * initial.coefficients)
     with pytest.raises(ValueError, match="normalized"):
         projective_flow_check(space, _harmonic(space), unnorm, t_final=0.1)
+    nan_h = _harmonic(space)
+    nan_h[0, 0] = math.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        projective_flow_check(space, nan_h, initial, t_final=0.1)
+    nan_state = StateVector("fock", space, np.full(space.dim, math.nan + 0j))
+    with pytest.raises(ValueError, match="normalized"):
+        projective_flow_check(space, _harmonic(space), nan_state, t_final=0.1)

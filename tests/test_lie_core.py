@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -186,12 +187,29 @@ def test_verify_detects_jacobi_violation():
     assert rep.jacobi_max >= 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_propagates_non_finite_structure_constant(bad):
+    # a running max(0.0, nan) returns 0.0 and would report a clean table
+    t = build_standard_algebra("HR3")
+    entries = dict(t.entries)
+    a, b = t.index("X1"), t.index("P1")
+    entries[(a, b)] = ((t.index("I"), bad, Fraction(0)),)
+    entries[(b, a)] = ((t.index("I"), -bad, Fraction(0)),)
+    broken = StructureConstantTable("non-finite", t.generators, entries)
+    with np.errstate(invalid="ignore"):
+        reports = (verify_algebra(broken, [0.0, 1.0]), verify_algebra_symbolic(broken))
+    for rep in reports:
+        assert math.isnan(rep.antisymmetry_max) or math.isnan(rep.jacobi_max)
+        assert not rep.clean
+
+
 def test_verify_requires_samples():
     t = build_standard_algebra("HR3")
     with pytest.raises(ValueError):
         verify_algebra(t, [])
-    with pytest.raises(ValueError):
-        verify_algebra(t, [-1.0])
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            verify_algebra(t, [0.0, eps])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from qclimit.star_product import (
     canonical_commutator_check,
     classical_limit_sweep,
     from_text,
-    generator_identity_defect,
     harmonic_evolution_check,
     monomial_basis,
     moyal_bracket,
@@ -128,6 +127,65 @@ def test_dimension_mismatch_rejected():
         _x(3).evaluate([1.0], [1.0], 0.0)
 
 
+def test_canonical_form_equality_and_hash():
+    x, p = _x(), _p()
+    half = CRat(Fraction(1, 2))
+    assert x.scale(half) + x.scale(half) == x
+    # x + (5/4 - i/6) p, once over thirds and once scaled down by 1/6
+    a = x.scale(CRat(Fraction(1, 3))) + x.scale(CRat(Fraction(2, 3))) + p.scale(CRat(Fraction(5, 4), Fraction(-1, 6)))
+    b = (x.scale(CRat(Fraction(6))) + p.scale(CRat(Fraction(15, 2), Fraction(-1)))).scale(CRat(Fraction(1, 6)))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.den == b.den == 12
+    assert a.nums == b.nums == {(1, 0, 0): (12, 0), (0, 1, 0): (15, -2)}
+    assert len({a, b, a - b}) == 2
+
+
+def test_difference_with_itself_stores_no_terms():
+    rng = np.random.default_rng(8)
+    for dims in (1, 3):
+        f = _rational_poly(rng, dims, 4, 4)
+        zero = f - f
+        assert zero.is_zero
+        assert zero.nums == {}
+        assert zero.den == 1
+        assert len(zero.terms) == 0
+        assert zero == PhasePolynomial.zero(dims)
+        assert hash(zero) == hash(PhasePolynomial.zero(dims))
+
+
+def test_terms_is_a_read_only_crat_view(monkeypatch):
+    from qclimit import star_product
+
+    f = from_text(1, "x*p/3 + i*hbar/2 - 7")
+    assert dict(f.terms) == {
+        (1, 1, 0): CRat(Fraction(1, 3)),
+        (0, 0, 1): CRat(im=Fraction(1, 2)),
+        (0, 0, 0): CRat(Fraction(-7)),
+    }
+    assert all(isinstance(c, CRat) for c in f.terms.values())
+    with pytest.raises(TypeError):
+        f.terms[(0, 0, 0)] = CRAT_ONE
+    with pytest.raises(TypeError):
+        del f.terms[(0, 0, 0)]
+    with pytest.raises(AttributeError):
+        f.terms = {}
+    # size and membership read the stored numerators and build no CRat
+    monkeypatch.setattr(star_product, "CRat", None)
+    assert len(f.terms) == 3
+    assert (1, 1, 0) in f.terms and (2, 0, 0) not in f.terms
+
+
+def test_evaluate_rounds_each_coefficient_as_fraction_does():
+    # 2^60 + 1 is not a float, so float(num) / float(den) would round twice
+    q1 = CRat(Fraction(2**60 + 1, 3), Fraction(-(2**61) - 3, 7))
+    q2 = CRat(Fraction(5, 11))
+    f = PhasePolynomial(1, {(0, 0, 0): q1, (1, 0, 0): q2})
+    assert f.den == 231
+    assert f.evaluate([0.0], [0.0], 0.0) == complex(float(q1.re), float(q1.im))
+    assert f.evaluate([1.0], [0.0], 0.0) == complex(float(q1.re), float(q1.im)) + float(q2.re)
+
+
 def test_text_parsing_round_trip():
     cases = ["x*p + 1/2", "(x + p)^2 - x^2", "3/2*hbar^2*x - i*p", "x^4 + 2*p^3*x"]
     for text in cases:
@@ -227,12 +285,23 @@ def test_commutator_identity_on_monomial_basis():
     assert canonical_commutator_check(3, 2)["exact"] is True
 
 
-def test_left_right_action_difference_is_bracket():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        f = _random_poly(rng, max_degree=3)
-        g = _random_poly(rng, max_degree=3)
-        assert generator_identity_defect(f, g).is_zero
+def _reference_bracket(f, g):
+    """(f * g - g * f) / (i hbar) from two full star products."""
+    return (star(f, g) - star(g, f)).shift_hbar(-1).scale(CRat(im=Fraction(-1)))
+
+
+def test_one_pass_bracket_matches_commutator_of_two_products():
+    rng = np.random.default_rng(606)
+    cases = [(1, 8, 4)] * 100 + [(3, 4, 3)] * 30
+    for dims, max_degree, n_terms in cases:
+        f = _rational_poly(rng, dims, max_degree, int(rng.integers(1, n_terms + 1)))
+        g = _rational_poly(rng, dims, max_degree, int(rng.integers(1, n_terms + 1)))
+        assert moyal_bracket(f, g) == _reference_bracket(f, g)
+    for dims in (1, 3):
+        f = _rational_poly(rng, dims, 4, 3)
+        zero = PhasePolynomial.zero(dims)
+        assert moyal_bracket(f, f).is_zero
+        assert moyal_bracket(zero, f) == moyal_bracket(f, zero) == zero
 
 
 # ---------------------------------------------------------------------------
