@@ -219,21 +219,26 @@ def criterion_02_contraction_limit() -> list[CheckRecord]:
     ]
 
 
+# bounds of one group-law label pair, in draw order (p1, x1, theta1, p2, x2, theta2)
+_PAIR_LOW = np.array(([-2.0] * 6 + [-np.pi]) * 2)
+_PAIR_HIGH = -_PAIR_LOW
+
+
+def group_law_check(rng, kind: str, samples: int, check_id: str, tolerance: float = 1e-10) -> list[CheckRecord]:
+    """Matrix product g(w1) g(w2) against g(w1 w2) on random label pairs, as one stacked product.
+
+    One rng.random draw scaled as low + (high - low) u gives the same doubles,
+    and leaves the generator in the same state, as per-pair rng.uniform calls.
+    """
+    u = _PAIR_LOW + (_PAIR_HIGH - _PAIR_LOW) * rng.random((samples, 14))
+    w1, w2 = (u[:, 0:3], u[:, 3:6], u[:, 6]), (u[:, 7:10], u[:, 10:13], u[:, 13])
+    product = coset_rep.group_elements(kind, *w1) @ coset_rep.group_elements(kind, *w2)
+    closed = coset_rep.group_elements(kind, *coset_rep.weyl_compose_labels(w1, w2, kind))
+    return [CheckRecord(check_id, "weyl-composition", _worst(np.abs(product - closed)), 0.0, tolerance)]
+
+
 def criterion_03_group_law(rng) -> list[CheckRecord]:
-    errors = []
-    for _ in range(1000):
-        w1 = coset_rep.WeylLabel(
-            rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi)
-        )
-        w2 = coset_rep.WeylLabel(
-            rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi)
-        )
-        g1 = coset_rep.group_element("phase", w1)
-        g2 = coset_rep.group_element("phase", w2)
-        product, _ = coset_rep.compose(g1, g2)
-        closed = coset_rep.group_element("phase", coset_rep.weyl_compose_formula(w1, w2))
-        errors.append(float(np.abs(product.entries - closed.entries).max()))
-    return [CheckRecord("C03.group-law", "weyl-composition", _worst(errors), 0.0, 1e-10)]
+    return group_law_check(rng, "phase", 1000, "C03.group-law")
 
 
 def criterion_04_overlaps(rng) -> list[CheckRecord]:
@@ -346,18 +351,16 @@ def criterion_10_star_algebra(rng) -> list[CheckRecord]:
     hbar = star_product.PhasePolynomial.variable(1, "hbar")
 
     def random_poly():
-        terms = {}
+        nums = {}
         for _ in range(4):
             while True:
                 ex, ep = int(rng.integers(0, 5)), int(rng.integers(0, 5))
                 if ex + ep <= 4:
                     break
-            coeff = star_product.CRat(
-                Fraction(int(rng.integers(-3, 4))), Fraction(int(rng.integers(-2, 3)))
-            )
-            key = (ex, ep, 0)
-            terms[key] = terms.get(key, star_product.CRat()) + coeff
-        return star_product.PhasePolynomial(1, terms)
+            re, im = int(rng.integers(-3, 4)), int(rng.integers(-2, 3))
+            old_re, old_im = nums.get((ex, ep, 0), (0, 0))
+            nums[(ex, ep, 0)] = (old_re + re, old_im + im)
+        return star_product.PhasePolynomial._of(1, 1, nums)
 
     defects = 0
     for _ in range(100):
@@ -556,42 +559,20 @@ def cmd_algebra_contract(args) -> list[CheckRecord]:
 
 
 def cmd_coset_compose(args) -> list[CheckRecord]:
-    rng = np.random.default_rng(args.seed)
-    errors = []
-    for _ in range(args.samples):
-        w1 = coset_rep.WeylLabel(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi))
-        w2 = coset_rep.WeylLabel(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi))
-        g1 = coset_rep.group_element(args.kind, w1)
-        g2 = coset_rep.group_element(args.kind, w2)
-        product, label = coset_rep.compose(g1, g2)
-        closed = coset_rep.group_element(args.kind, coset_rep.weyl_compose_formula(w1, w2, kind=args.kind))
-        errors.append(float(np.abs(product.entries - closed.entries).max()))
-    records = [
-        CheckRecord("compose-vs-closed-form", "weyl-composition", _worst(errors), 0.0, args.tolerance or 1e-10)
-    ]
+    records = group_law_check(
+        np.random.default_rng(args.seed), args.kind, args.samples, "compose-vs-closed-form", args.tolerance or 1e-10
+    )
+
+    def pinned_theta(x2) -> float:
+        """Phase of (p = e1) composed with (x = x2)."""
+        w1, w2 = coset_rep.WeylLabel([1, 0, 0], [0, 0, 0], 0.0), coset_rep.WeylLabel([0, 0, 0], x2, 0.0)
+        return coset_rep.weyl_compose_formula(w1, w2, args.kind).theta
+
     if args.kind == "phase":
-        w1 = coset_rep.WeylLabel([1, 0, 0], [0, 0, 0], 0.0)
-        w2 = coset_rep.WeylLabel([0, 0, 0], [1, 0, 0], 0.0)
-        w12 = coset_rep.weyl_compose_formula(w1, w2)
-        records.append(CheckRecord("pinned-phase-shift", "weyl-composition", w12.theta, 0.5, 0.0))
+        records.append(CheckRecord("pinned-phase-shift", "weyl-composition", pinned_theta([1, 0, 0]), 0.5, 0.0))
     else:
-        w1 = coset_rep.WeylLabel([1, 0, 0], [0, 0, 0], 0.0)
-        w2 = coset_rep.WeylLabel([0, 0, 0], [0, 1, 0], 0.0)
-        w12 = coset_rep.weyl_compose_formula(w1, w2, kind="config")
-        records.append(CheckRecord("pinned-config-shift", "weyl-composition", w12.theta, 0.0, 0.0))
-        records.append(
-            CheckRecord(
-                "pinned-config-cross-term",
-                "weyl-composition",
-                coset_rep.weyl_compose_formula(
-                    coset_rep.WeylLabel([1, 0, 0], [0, 0, 0], 0.0),
-                    coset_rep.WeylLabel([0, 0, 0], [1, 0, 0], 0.0),
-                    kind="config",
-                ).theta,
-                1.0,
-                0.0,
-            )
-        )
+        records.append(CheckRecord("pinned-config-shift", "weyl-composition", pinned_theta([0, 1, 0]), 0.0, 0.0))
+        records.append(CheckRecord("pinned-config-cross-term", "weyl-composition", pinned_theta([1, 0, 0]), 1.0, 0.0))
     return records
 
 
@@ -681,9 +662,7 @@ def _parse_pair(text: str):
 
 def cmd_contract_sweep(args) -> tuple:
     pair = args.pair
-    config = contraction_lab.ContractionRunConfig(
-        k_values=args.k, pairs=(pair,), seed=args.seed
-    )
+    config = contraction_lab.ContractionRunConfig(k_values=args.k, pairs=(pair,))
     sweep = contraction_lab.overlap_decay_sweep(config)
     records = []
     for r in sweep:

@@ -84,7 +84,6 @@ class ContractionRunConfig:
     pairs: tuple
     base_cutoff: int = 64
     fock_max_cutoff: int = 4096
-    seed: int = 7
 
     def __post_init__(self):
         if not self.k_values:

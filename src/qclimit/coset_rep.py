@@ -6,6 +6,13 @@ Phase-space points (p, x, theta) ride in homogeneous 8-vectors
 (0, ..., 0, 1); algebra elements have an all-zero bottom row.  The rescaled
 (contracted) action takes k in [1, inf], with k = math.inf meaning the exact
 limit where the theta coupling is deleted.
+
+The translation-sector group law works on label arrays: p and x of shape
+(N, 3) and theta of shape (N,).  :func:`group_elements` builds the (N, n, n)
+stack of their matrices and :func:`weyl_compose_labels` composes two sets of
+rows in closed form, so a check of the law is one stacked matrix product.
+:func:`group_element` and :func:`weyl_compose_formula` are the N = 1 cases
+on a :class:`WeylLabel`.
 """
 
 from __future__ import annotations
@@ -37,13 +44,6 @@ class WeylLabel:
     def inverse(self) -> "WeylLabel":
         return WeylLabel(-self.p, -self.x, -self.theta)
 
-    def to_json_dict(self) -> dict:
-        return {"p": list(self.p), "x": list(self.x), "theta": self.theta}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "WeylLabel":
-        return cls(np.array(data["p"]), np.array(data["x"]), data["theta"])
-
 
 @dataclass(frozen=True)
 class AlgebraParams:
@@ -62,23 +62,6 @@ class AlgebraParams:
         for name in ("omega", "pbar", "xbar"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3))
         object.__setattr__(self, "thetabar", float(self.thetabar))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "omega": list(self.omega),
-            "pbar": list(self.pbar),
-            "xbar": list(self.xbar),
-            "thetabar": self.thetabar,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AlgebraParams":
-        return cls(
-            np.array(data.get("omega", [0.0] * 3)),
-            np.array(data.get("pbar", [0.0] * 3)),
-            np.array(data.get("xbar", [0.0] * 3)),
-            data.get("thetabar", 0.0),
-        )
 
 
 @dataclass(frozen=True)
@@ -216,27 +199,49 @@ def contracted_action(kind: str, params: AlgebraParams, point, k: float) -> tupl
 # ---------------------------------------------------------------------------
 
 
+def _label_arrays(p, x, theta) -> tuple:
+    """Float label arrays p, x of shape (N, 3) and theta of shape (N,)."""
+    p, x, theta = (np.asarray(a, dtype=float) for a in (p, x, theta))
+    if p.ndim != 2 or p.shape[1] != 3 or x.shape != p.shape or theta.shape != p.shape[:1]:
+        raise ValueError(
+            f"labels need p, x of shape (N, 3) and theta of shape (N,), got {p.shape}, {x.shape}, {theta.shape}"
+        )
+    return p, x, theta
+
+
+def _rows(w: WeylLabel) -> tuple:
+    """A single label as label arrays with N = 1."""
+    return w.p[None], w.x[None], np.array([w.theta])
+
+
+def group_elements(kind: str, p, x, theta, rotation: np.ndarray | None = None) -> np.ndarray:
+    """Stack (N, n, n) of translation factors for label rows (p, x, theta),
+    each times the same rotation; n is 8 (phase) or 5 (config)."""
+    if kind not in KIND_DIMS:
+        raise ValueError(f"unknown coset kind {kind!r}")
+    p, x, theta = _label_arrays(p, x, theta)
+    r = np.eye(3) if rotation is None else _check_rotation(rotation)
+    n = KIND_DIMS[kind]
+    m = np.broadcast_to(np.eye(n), (len(theta), n, n)).copy()
+    if kind == "phase":
+        m[:, 0:3, 0:3] = r
+        m[:, 3:6, 3:6] = r
+        m[:, 0:3, 7] = p
+        m[:, 3:6, 7] = x
+        m[:, 6, 0:3] = -0.5 * x @ r
+        m[:, 6, 3:6] = 0.5 * p @ r
+        m[:, 6, 7] = theta
+    else:
+        m[:, 0:3, 0:3] = r
+        m[:, 0:3, 4] = x
+        m[:, 3, 0:3] = p @ r
+        m[:, 3, 4] = theta
+    return m
+
+
 def group_element(kind: str, w: WeylLabel, rotation: np.ndarray | None = None) -> CosetMatrix:
     """Finite element: translation factor for label w times the rotation."""
-    r = np.eye(3) if rotation is None else _check_rotation(rotation)
-    if kind == "phase":
-        m = np.eye(8)
-        m[0:3, 0:3] = r
-        m[3:6, 3:6] = r
-        m[0:3, 7] = w.p
-        m[3:6, 7] = w.x
-        m[6, 0:3] = -0.5 * w.x @ r
-        m[6, 3:6] = 0.5 * w.p @ r
-        m[6, 7] = w.theta
-    elif kind == "config":
-        m = np.eye(5)
-        m[0:3, 0:3] = r
-        m[0:3, 4] = w.x
-        m[3, 0:3] = w.p @ r
-        m[3, 4] = w.theta
-    else:
-        raise ValueError(f"unknown coset kind {kind!r}")
-    return CosetMatrix(kind, m)
+    return CosetMatrix(kind, group_elements(kind, *_rows(w), rotation)[0])
 
 
 def is_pure_weyl(g: CosetMatrix, tol: float = 1e-12) -> bool:
@@ -265,20 +270,32 @@ def compose(g1: CosetMatrix, g2: CosetMatrix) -> tuple[CosetMatrix, WeylLabel | 
     return product, label
 
 
-def weyl_compose_formula(w1: WeylLabel, w2: WeylLabel, kind: str = "phase") -> WeylLabel:
-    """Closed-form composition law of the translation sector.
+def weyl_compose_labels(w1: tuple, w2: tuple, kind: str = "phase") -> tuple:
+    """Closed-form composition law of the translation sector on label arrays.
 
-    Phase kind picks up the symplectic phase
-    theta = theta1 + theta2 - (x1.p2 - p1.x2)/2; config kind is abelian in
-    (x, theta) with the momenta adding.
+    w1 and w2 are (p, x, theta) rows as for :func:`group_elements`; the result
+    is the (p, x, theta) rows of the products.  Phase kind picks up the
+    symplectic phase theta = theta1 + theta2 - (x1.p2 - p1.x2)/2; config kind
+    is abelian in (x, theta) with the momenta adding.
     """
+    p1, x1, theta1 = _label_arrays(*w1)
+    p2, x2, theta2 = _label_arrays(*w2)
+    if p1.shape != p2.shape:
+        raise ValueError(f"label rows differ in number: {len(p1)} vs {len(p2)}")
+    # vecdot takes each row through the dot kernel of a 1-D `@`, so one label keeps its bits
     if kind == "phase":
-        theta = w1.theta + w2.theta - 0.5 * (w1.x @ w2.p - w1.p @ w2.x)
+        theta = theta1 + theta2 - 0.5 * (np.vecdot(x1, p2) - np.vecdot(p1, x2))
     elif kind == "config":
-        theta = w1.theta + w2.theta + w1.p @ w2.x
+        theta = theta1 + theta2 + np.vecdot(p1, x2)
     else:
         raise ValueError(f"unknown coset kind {kind!r}")
-    return WeylLabel(w1.p + w2.p, w1.x + w2.x, theta)
+    return p1 + p2, x1 + x2, theta
+
+
+def weyl_compose_formula(w1: WeylLabel, w2: WeylLabel, kind: str = "phase") -> WeylLabel:
+    """Closed-form composition of two labels; see :func:`weyl_compose_labels`."""
+    p, x, theta = weyl_compose_labels(_rows(w1), _rows(w2), kind)
+    return WeylLabel(p[0], x[0], theta[0])
 
 
 def exp_algebra(kind: str, params: AlgebraParams) -> CosetMatrix:

@@ -69,6 +69,77 @@ def test_coset_compose_both_kinds(tmp_path):
     assert check_by_id(report, "pinned-config-cross-term")["measured"] == 1.0
 
 
+def _old_group_law_max(rng, kind, samples):
+    """The per-pair loop the stacked check replaced, with its per-label builder
+    and composition formula copied here so that it shares no code with it."""
+
+    def element(w):
+        p, x, theta = w
+        if kind == "phase":
+            m = np.eye(8)
+            m[0:3, 7], m[3:6, 7], m[6, 7] = p, x, theta
+            m[6, 0:3] = -0.5 * x @ np.eye(3)
+            m[6, 3:6] = 0.5 * p @ np.eye(3)
+        else:
+            m = np.eye(5)
+            m[0:3, 4], m[3, 4] = x, theta
+            m[3, 0:3] = p @ np.eye(3)
+        return m
+
+    errors = []
+    for _ in range(samples):
+        w1 = (rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi))
+        w2 = (rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi))
+        (p1, x1, t1), (p2, x2, t2) = w1, w2
+        if kind == "phase":
+            theta = t1 + t2 - 0.5 * (x1 @ p2 - p1 @ x2)
+        else:
+            theta = t1 + t2 + p1 @ x2
+        closed = element((p1 + p2, x1 + x2, theta))
+        errors.append(float(np.abs(element(w1) @ element(w2) - closed).max()))
+    return max(errors)
+
+
+@pytest.mark.parametrize("kind", ["phase", "config"])
+@pytest.mark.parametrize("seed, samples", [(3, 200), (19, 257), (2024, 400), (12345, 1000)])
+def test_group_law_check_equals_per_pair_loop(kind, seed, samples):
+    old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _old_group_law_max(old_rng, kind, samples)
+    (record,) = cli.group_law_check(new_rng, kind, samples, "law")
+    assert record.measured == want
+    assert record.passed and record.measured > 0.0
+    # the single draw leaves the generator where the per-pair draws did
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    assert new_rng.random() == old_rng.random()
+
+
+def test_group_law_draw_matches_interleaved_uniform_calls():
+    old_rng, new_rng = np.random.default_rng(99), np.random.default_rng(99)
+    interleaved = []
+    for _ in range(300):
+        for _ in range(2):
+            interleaved += [*old_rng.uniform(-2, 2, 3), *old_rng.uniform(-2, 2, 3), old_rng.uniform(-np.pi, np.pi)]
+    u = cli._PAIR_LOW + (cli._PAIR_HIGH - cli._PAIR_LOW) * new_rng.random((300, 14))
+    np.testing.assert_array_equal(u.ravel(), interleaved)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+class _NanRng:
+    """Stands in for a Generator: uniform draws with one NaN label entry."""
+
+    def random(self, shape):
+        u = np.full(shape, 0.25)
+        u[shape[0] // 2, 10] = math.nan
+        return u
+
+
+@pytest.mark.parametrize("kind", ["phase", "config"])
+def test_group_law_check_fails_on_a_nan_label(kind):
+    (record,) = cli.group_law_check(_NanRng(), kind, 8, "law")
+    assert math.isnan(record.measured)
+    assert not record.passed
+
+
 def test_coherent_overlap_fock_backend(tmp_path):
     code, report = run_cli(tmp_path, "coherent-overlap", "--modes", "3")
     assert code == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qclimit.coset_rep import (
+    KIND_DIMS,
     AlgebraParams,
     CosetMatrix,
     WeylLabel,
@@ -14,11 +15,13 @@ from qclimit.coset_rep import (
     exp_algebra,
     extract_weyl_label,
     group_element,
+    group_elements,
     infinitesimal_action,
     is_pure_weyl,
     omega_matrix,
     rotation_from_omega,
     weyl_compose_formula,
+    weyl_compose_labels,
 )
 from qclimit.lie_core import build_standard_algebra
 
@@ -345,19 +348,106 @@ def test_contracted_action_rejects_small_k():
         contracted_action("config", params, (np.zeros(3), 0.0), float("nan"))
 
 
-def test_weyl_label_json_round_trip():
-    w = WeylLabel([1.5, -0.25, 0.0], [0.0, 2.0, -1.0], 0.125)
-    again = WeylLabel.from_json_dict(w.to_json_dict())
-    np.testing.assert_array_equal(again.p, w.p)
-    np.testing.assert_array_equal(again.x, w.x)
-    assert again.theta == w.theta
+def _old_group_element(kind, w, rotation=None):
+    """Per-label builder as it stood before the batched one."""
+    r = np.eye(3) if rotation is None else rotation
+    if kind == "phase":
+        m = np.eye(8)
+        m[0:3, 0:3] = r
+        m[3:6, 3:6] = r
+        m[0:3, 7] = w.p
+        m[3:6, 7] = w.x
+        m[6, 0:3] = -0.5 * w.x @ r
+        m[6, 3:6] = 0.5 * w.p @ r
+        m[6, 7] = w.theta
+    else:
+        m = np.eye(5)
+        m[0:3, 0:3] = r
+        m[0:3, 4] = w.x
+        m[3, 0:3] = w.p @ r
+        m[3, 4] = w.theta
+    return m
 
 
-def test_algebra_params_json_round_trip():
-    params = AlgebraParams([1, 2, 3], [4, 5, 6], [7, 8, 9], 10.0)
-    again = AlgebraParams.from_json_dict(params.to_json_dict())
-    np.testing.assert_array_equal(again.omega, params.omega)
-    assert again.thetabar == 10.0
+def _old_compose_theta(w1, w2, kind):
+    if kind == "phase":
+        return w1.theta + w2.theta - 0.5 * (w1.x @ w2.p - w1.p @ w2.x)
+    return w1.theta + w2.theta + w1.p @ w2.x
+
+
+def _random_rows(rng, n):
+    return rng.uniform(-2, 2, (n, 3)), rng.uniform(-2, 2, (n, 3)), rng.uniform(-np.pi, np.pi, n)
+
+
+@pytest.mark.parametrize("kind", ["phase", "config"])
+def test_group_elements_stack_matches_per_label_builder(kind):
+    rng = np.random.default_rng(41)
+    p, x, theta = _random_rows(rng, 50)
+    stack = group_elements(kind, p, x, theta)
+    assert stack.shape == (50, KIND_DIMS[kind], KIND_DIMS[kind])
+    for i in range(50):
+        w = WeylLabel(p[i], x[i], theta[i])
+        np.testing.assert_array_equal(stack[i], _old_group_element(kind, w))
+        np.testing.assert_array_equal(group_element(kind, w).entries, stack[i])
+    r = rotation_from_omega([0.3, -0.2, 0.9])
+    rotated = group_elements(kind, p, x, theta, r)
+    for i in range(50):
+        want = _old_group_element(kind, WeylLabel(p[i], x[i], theta[i]), r)
+        np.testing.assert_allclose(rotated[i], want, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["phase", "config"])
+def test_weyl_compose_labels_bitwise_per_label_formula(kind):
+    rng = np.random.default_rng(43)
+    w1, w2 = _random_rows(rng, 300), _random_rows(rng, 300)
+    p, x, theta = weyl_compose_labels(w1, w2, kind)
+    for i in range(300):
+        a, b = WeylLabel(w1[0][i], w1[1][i], w1[2][i]), WeylLabel(w2[0][i], w2[1][i], w2[2][i])
+        assert theta[i] == _old_compose_theta(a, b, kind)
+        single = weyl_compose_formula(a, b, kind)
+        assert single.theta == theta[i]
+        np.testing.assert_array_equal(single.p, p[i])
+        np.testing.assert_array_equal(single.x, x[i])
+    np.testing.assert_array_equal(p, w1[0] + w2[0])
+    np.testing.assert_array_equal(x, w1[1] + w2[1])
+
+
+def test_nan_label_reaches_the_stack_and_the_composition():
+    p, x, theta = np.zeros((3, 3)), np.ones((3, 3)), np.array([0.0, math.nan, 0.0])
+    p[2, 1] = math.nan
+    stack = group_elements("phase", p, x, theta)
+    assert math.isnan(stack[1, 6, 7]) and math.isnan(stack[2, 1, 7]) and math.isnan(stack[2, 6, 4])
+    assert not np.isnan(stack[0]).any()
+    other = (np.ones((3, 3)), np.ones((3, 3)), np.zeros(3))
+    _, _, composed = weyl_compose_labels((p, x, theta), other)
+    assert np.isnan(composed).tolist() == [False, True, True]
+
+
+@pytest.mark.parametrize(
+    "p, x, theta",
+    [
+        (np.zeros((4, 2)), np.zeros((4, 2)), np.zeros(4)),
+        (np.zeros(3), np.zeros(3), np.zeros(1)),
+        (np.zeros((4, 3)), np.zeros((5, 3)), np.zeros(4)),
+        (np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((4, 1))),
+        (np.zeros((4, 3)), np.zeros((4, 3)), np.zeros(3)),
+    ],
+)
+def test_batched_law_rejects_misshaped_labels(p, x, theta):
+    with pytest.raises(ValueError, match="labels need"):
+        group_elements("phase", p, x, theta)
+    with pytest.raises(ValueError, match="labels need"):
+        weyl_compose_labels((p, x, theta), (p, x, theta))
+
+
+def test_batched_law_rejects_unknown_kind_and_unequal_rows():
+    rows = (np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(ValueError, match="unknown coset kind"):
+        group_elements("spiral", *rows)
+    with pytest.raises(ValueError, match="unknown coset kind"):
+        weyl_compose_labels(rows, rows, "spiral")
+    with pytest.raises(ValueError, match="differ in number"):
+        weyl_compose_labels(rows, (np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3)))
 
 
 def test_coset_matrix_shape_validation():
