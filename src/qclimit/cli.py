@@ -129,15 +129,21 @@ def _worst(errors) -> float:
     return float(np.max(errors))
 
 
+def _grid_label_pairs():
+    """The 1D label grid as a list of (p, x) and as (rows, cols): label arrays
+    of shapes (n, 1, 1) and (1, n, 1) that broadcast to every (row, column)
+    pair of the closed forms, mode axis last."""
+    labels = list(itertools.product(GRID_VALUES, GRID_VALUES))
+    p, x = np.array(labels).T
+    return labels, (p[:, None, None], x[:, None, None]), (p[None, :, None], x[None, :, None])
+
+
 def overlap_grid_max_rel_err(cutoff: int = 64, dps: int = 30) -> float:
     """Closed form vs. high-precision truncated sum over the 1D label grid."""
-    labels = list(itertools.product(GRID_VALUES, GRID_VALUES))
+    labels, rows, cols = _grid_label_pairs()
     gram = hilbert.fock_gram_hp(labels, labels, cutoff, "c", dps)
-    errors = []
-    for (i, (p1, x1)), (j, (p2, x2)) in itertools.product(enumerate(labels), repeat=2):
-        want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
-        errors.append(abs(complex(gram[i, j]) - want) / abs(want))
-    return _worst(errors)
+    want = hilbert.coherent_overlap_formula(*rows, 0.0, *cols, 0.0)
+    return _worst(np.abs(gram - want) / np.abs(want))
 
 
 def matrix_element_grid_max_rel_err(cutoff: int = 64, dps: int = 30) -> float:
@@ -147,14 +153,13 @@ def matrix_element_grid_max_rel_err(cutoff: int = 64, dps: int = 30) -> float:
     the error is scaled by the overlap magnitude instead, which is the natural
     size of the element at that label pair.
     """
-    labels = list(itertools.product(GRID_VALUES, GRID_VALUES))
-    grams = {kind: hilbert.fock_gram_hp(labels, labels, cutoff, kind, dps) for kind in ("X", "P")}
+    labels, rows, cols = _grid_label_pairs()
+    ovl = np.abs(hilbert.coherent_overlap_formula(*rows, 0.0, *cols, 0.0))
     errors = []
-    for (i, (p1, x1)), (j, (p2, x2)) in itertools.product(enumerate(labels), repeat=2):
-        ovl = abs(hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0))
-        for kind in ("X", "P"):
-            want = hilbert.matrix_element_formula(kind, 1, p1, x1, 0.0, p2, x2, 0.0)
-            errors.append(abs(complex(grams[kind][i, j]) - want) / np.maximum(abs(want), ovl))
+    for kind in ("X", "P"):
+        want = hilbert.matrix_element_formula(kind, 1, *rows, 0.0, *cols, 0.0)
+        gram = hilbert.fock_gram_hp(labels, labels, cutoff, kind, dps)
+        errors.append(np.abs(gram - want) / np.maximum(np.abs(want), ovl))
     return _worst(errors)
 
 
@@ -396,18 +401,23 @@ def criterion_10_star_algebra(rng) -> list[CheckRecord]:
     ]
 
 
-def criterion_11_projective_flow() -> list[CheckRecord]:
-    space = hilbert.build_fock_space(1, 32)
-    xo = space.x_op()
-    po = space.p_op()
+def flow_law_check(p: float, x: float, cutoff: int, t_final: float, dt: float, prefix: str) -> list[CheckRecord]:
+    """Coefficient vs canonical routes of the harmonic ray flow from the
+    coherent state at (p, x), with check IDs prefixed by `prefix`."""
+    space = hilbert.build_fock_space(1, cutoff)
+    xo, po = space.x_op(), space.p_op()
     h = 0.5 * (xo @ xo + po @ po)
-    initial = hilbert.coherent_state(space, 0.8, 0.6)
-    report = hilbert.projective_flow_check(space, h, initial, t_final=10.0, dt=1e-3)
+    initial = hilbert.coherent_state(space, p, x)
+    report = hilbert.projective_flow_check(space, h, initial, t_final=t_final, dt=dt)
     return [
-        CheckRecord("C11.route-deviation", "hamilton-schroedinger-equivalence", report.max_deviation, 0.0, 1e-6),
-        CheckRecord("C11.norm-drift", "hamilton-schroedinger-equivalence", report.norm_drift, 0.0, 1e-8),
-        CheckRecord("C11.step-halving", "plumbing", report.halving_deviation, 0.0, 1e-6),
+        CheckRecord(f"{prefix}route-deviation", "hamilton-schroedinger-equivalence", report.max_deviation, 0.0, 1e-6),
+        CheckRecord(f"{prefix}norm-drift", "hamilton-schroedinger-equivalence", report.norm_drift, 0.0, 1e-8),
+        CheckRecord(f"{prefix}step-halving", "plumbing", report.halving_deviation, 0.0, 1e-6),
     ]
+
+
+def criterion_11_projective_flow() -> list[CheckRecord]:
+    return flow_law_check(0.8, 0.6, 32, 10.0, 1e-3, "C11.")
 
 
 def criterion_12_determinism(seed: int) -> list[CheckRecord]:
@@ -687,13 +697,7 @@ def cmd_contract_sweep(args) -> tuple:
                 "decay-slope", "contracted-overlap-decay", slope, -0.25 * d2, 0.01 * 0.25 * d2
             )
         )
-    preferred = {}
-    for r in sweep:
-        key = (r.k, r.pair_id)
-        if key not in preferred or r.backend == "fock":
-            preferred[key] = r
-    csv_rows = [preferred[key] for key in sorted(preferred)]
-    return records, csv_rows
+    return records, contraction_lab.csv_rows(sweep)
 
 
 def cmd_star_bracket(args) -> list[CheckRecord]:
@@ -751,17 +755,7 @@ def cmd_star_limit_sweep(args) -> list[CheckRecord]:
 
 
 def cmd_flow_check(args) -> list[CheckRecord]:
-    space = hilbert.build_fock_space(1, args.cutoff)
-    xo = space.x_op()
-    po = space.p_op()
-    h = 0.5 * (xo @ xo + po @ po)
-    initial = hilbert.coherent_state(space, args.p, args.x)
-    report = hilbert.projective_flow_check(space, h, initial, t_final=args.t_final, dt=args.dt)
-    return [
-        CheckRecord("route-deviation", "hamilton-schroedinger-equivalence", report.max_deviation, 0.0, 1e-6),
-        CheckRecord("norm-drift", "hamilton-schroedinger-equivalence", report.norm_drift, 0.0, 1e-8),
-        CheckRecord("step-halving", "plumbing", report.halving_deviation, 0.0, 1e-6),
-    ]
+    return flow_law_check(args.p, args.x, args.cutoff, args.t_final, args.dt, "")
 
 
 def cmd_all(args) -> tuple:
@@ -775,13 +769,7 @@ def cmd_all(args) -> tuple:
         k_values=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0), pairs=(contraction_lab.canonical_pair(),)
     )
     sweep = contraction_lab.overlap_decay_sweep(config)
-    preferred = {}
-    for r in sweep:
-        key = (r.k, r.pair_id)
-        if key not in preferred or r.backend == "fock":
-            preferred[key] = r
-    csv_rows = [preferred[key] for key in sorted(preferred)]
-    return records, csv_rows
+    return records, contraction_lab.csv_rows(sweep)
 
 
 # ---------------------------------------------------------------------------

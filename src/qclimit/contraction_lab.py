@@ -24,7 +24,6 @@ from qclimit.hilbert import (
     build_fock_space,
     coherent_overlap_formula,
     coherent_state,
-    matrix_element,
     overlap,
 )
 
@@ -156,6 +155,17 @@ def overlap_decay_sweep(config: ContractionRunConfig) -> list[DecayRecord]:
     return records
 
 
+def csv_rows(records) -> list[DecayRecord]:
+    """One record per (k, pair) in (k, pair) order: the Fock record where
+    there is one, else the closed form."""
+    preferred = {}
+    for r in records:
+        key = (r.k, r.pair_id)
+        if key not in preferred or r.backend == "fock":
+            preferred[key] = r
+    return [preferred[key] for key in sorted(preferred)]
+
+
 def write_decay_csv(records, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -205,24 +215,6 @@ def eigenvalue_residual(k: float, p_c: float, x_c: float, base_cutoff: int = 64)
     }
 
 
-def contracted_expectations(space: FockSpace, k: float, p_c: float, x_c: float) -> dict:
-    """Means and variances of the contracted quadratures in a relabeled state."""
-    state = relabel_coherent(space, k, p_c, x_c)
-    mean_x = matrix_element(space, "X", 1, state, state).real / k
-    mean_p = matrix_element(space, "P", 1, state, state).real / k
-    xc, pc = rescaled_operators(space, k)
-    c = state.coefficients
-    var_x = float(np.vdot(c, xc @ (xc @ c)).real) - mean_x**2
-    var_p = float(np.vdot(c, pc @ (pc @ c)).real) - mean_p**2
-    return {
-        "mean_x": mean_x,
-        "mean_p": mean_p,
-        "var_x": var_x,
-        "var_p": var_p,
-        "hbar": hbar_effective(k),
-    }
-
-
 def gram_matrix(k: float, labels, base_cutoff: int = 64, fock_max_cutoff: int = 4096):
     """Gram matrices of the relabeled family: (closed form, Fock or None)."""
     n = len(labels)
@@ -240,29 +232,3 @@ def gram_matrix(k: float, labels, base_cutoff: int = 64, fock_max_cutoff: int = 
         for j in range(n):
             fock[i, j] = overlap(states[i], states[j])
     return closed, fock
-
-
-def classicalization_report(config: ContractionRunConfig) -> dict:
-    """Bundle the decay sweep, slope fits, and localization residuals."""
-    records = overlap_decay_sweep(config)
-    slopes = {}
-    for pair_id, (l1, l2) in enumerate(config.pairs):
-        d2 = (l1[0] - l2[0]) ** 2 + (l1[1] - l2[1]) ** 2
-        backend = "fock" if any(
-            r.pair_id == pair_id and r.backend == "fock" for r in records
-        ) else "closed_form"
-        slopes[pair_id] = {
-            "fitted": decay_slope(records, pair_id, backend=backend),
-            "predicted": -0.25 * d2,
-            "backend": backend,
-        }
-    residuals = [
-        eigenvalue_residual(k, 0.3, -0.2, base_cutoff=config.base_cutoff)
-        for k in config.k_values
-    ]
-    return {
-        "hbar_mapping": [{"k": float(k), "hbar": hbar_effective(k)} for k in config.k_values],
-        "decay": [asdict(r) for r in records],
-        "slopes": slopes,
-        "localization": residuals,
-    }

@@ -24,10 +24,11 @@ All tolerance-critical closed forms (overlap, matrix elements) have high
 precision Fock-sum counterparts (suffix _hp), so that formula checks are not
 polluted by float64 cancellation at small overlaps.  One kernel,
 fock_gram_hp, computes them as exact dot products (Kulisch-Miranker 1981):
-the mpmath coherent coefficients at `dps` digits are rounded once to
-integers with prec(dps) + 32 fractional bits, X and P act through
+the coherent coefficients come from an integer recursion with guard bits,
+correctly rounded to prec(dps) + 32 fractional bits; X and P act through
 fixed-point band roots, every sum is exact in integers, and each result is
-rounded once at the end.
+rounded once at the end.  The closed forms broadcast over grids of label
+pairs, so a grid check is one array expression.
 
 The ray flow is linear, y' = A y, so one RK4 step is exactly the matrix
 polynomial sum_{k<=4} (hA)^k / k!, built once and raised to the sampling
@@ -226,11 +227,28 @@ def _mode_coherent_coeffs(alpha: complex, dim: int) -> np.ndarray:
     return c
 
 
+def _poisson_tail(lam: float, cutoff: int) -> float:
+    """P(cutoff + 1, lam) = sum_{n > cutoff} exp(-lam) lam^n / n! (DLMF 8.4.10):
+    the occupation mass above the cutoff of a mode with mean occupation lam.
+    The series is summed forward from its first term, taken in log space."""
+    if lam == 0.0:
+        return 0.0
+    n = cutoff + 1
+    term = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+    total = 0.0
+    while total + term != total:
+        total += term
+        n += 1
+        term *= lam / n
+    return total
+
+
 def coherent_state(space: FockSpace, p, x, theta: float = 0.0) -> StateVector:
     """exp(i theta) D(alpha)|0> with alpha_i = (x_i + i p_i)/sqrt(2) per mode.
 
     The truncation guard requires mean occupation |alpha|^2 <= cutoff/4 in
-    every mode; the reported truncation bound is the missing tail norm.
+    every mode; the reported truncation bound is the exact norm^2 the cutoff
+    drops, 1 - prod_i (1 - P(cutoff + 1, |alpha_i|^2)).
     """
     p = _as_mode_vector(p, space.modes)
     x = _as_mode_vector(x, space.modes)
@@ -239,13 +257,12 @@ def coherent_state(space: FockSpace, p, x, theta: float = 0.0) -> StateVector:
     if worst > space.cutoff / 4.0:
         raise TruncationGuardError(worst, space.cutoff)
     vec = None
-    kept = 1.0
     for alpha in alphas:
         c = _mode_coherent_coeffs(complex(alpha), space.mode_dim)
-        kept *= float(np.sum(np.abs(c) ** 2))
         vec = c if vec is None else np.kron(vec, c)
     vec = vec * np.exp(1j * theta)
-    return StateVector("fock", space, vec, p, x, float(theta), truncation_bound=1.0 - kept)
+    kept_log = sum(math.log1p(-_poisson_tail(abs(alpha) ** 2, space.cutoff)) for alpha in alphas)
+    return StateVector("fock", space, vec, p, x, float(theta), truncation_bound=abs(math.expm1(kept_log)))
 
 
 def overlap(s1: StateVector, s2: StateVector) -> complex:
@@ -257,28 +274,38 @@ def overlap(s1: StateVector, s2: StateVector) -> complex:
     return complex(np.vdot(s1.coefficients, s2.coefficients))
 
 
-def coherent_overlap_formula(p1, x1, theta1, p2, x2, theta2) -> complex:
+def coherent_overlap_formula(p1, x1, theta1, p2, x2, theta2):
     """Closed form of <p1,x1,theta1|p2,x2,theta2>: a symplectic phase
-    (x1.p2 - p1.x2)/2 on top of a Gaussian in the label separation."""
-    p1, x1 = np.atleast_1d(np.asarray(p1, float)), np.atleast_1d(np.asarray(x1, float))
-    p2, x2 = np.atleast_1d(np.asarray(p2, float)), np.atleast_1d(np.asarray(x2, float))
-    phase = 0.5 * (x1 @ p2 - p1 @ x2) + (theta2 - theta1)
-    decay = -0.25 * (np.sum((x1 - x2) ** 2) + np.sum((p1 - p2) ** 2))
-    return complex(np.exp(decay) * np.exp(1j * phase))
+    (x1.p2 - p1.x2)/2 on top of a Gaussian in the label separation.
+
+    Labels broadcast over leading axes with the mode axis last (a scalar is
+    one 1-mode label, a 1-D array one label per mode); one label pair gives
+    a complex, a grid of pairs an array with the mode axis summed out.
+    """
+    p1, x1, p2, x2 = (np.atleast_1d(np.asarray(v, float)) for v in (p1, x1, p2, x2))
+    # vecdot takes each pair through the dot kernel of a 1-D `@`, so a grid keeps each pair's bits
+    phase = 0.5 * (np.vecdot(x1, p2) - np.vecdot(p1, x2)) + (theta2 - theta1)
+    decay = -0.25 * (np.sum((x1 - x2) ** 2, axis=-1) + np.sum((p1 - p2) ** 2, axis=-1))
+    out = np.exp(decay) * np.exp(1j * phase)
+    return complex(out) if out.ndim == 0 else out
 
 
-def matrix_element_formula(kind: str, axis: int, p1, x1, theta1, p2, x2, theta2) -> complex:
-    """Closed form of <s1|O|s2> for O = X_axis or P_axis between coherent states."""
-    p1, x1 = np.atleast_1d(np.asarray(p1, float)), np.atleast_1d(np.asarray(x1, float))
-    p2, x2 = np.atleast_1d(np.asarray(p2, float)), np.atleast_1d(np.asarray(x2, float))
+def matrix_element_formula(kind: str, axis: int, p1, x1, theta1, p2, x2, theta2):
+    """Closed form of <s1|O|s2> for O = X_axis or P_axis between coherent
+    states; labels broadcast as in coherent_overlap_formula."""
+    p1, x1, p2, x2 = (np.atleast_1d(np.asarray(v, float)) for v in (p1, x1, p2, x2))
     i = axis - 1
     if kind == "X":
-        pref = 0.5 * ((x1[i] + x2[i]) - 1j * (p1[i] - p2[i]))
+        pref = 0.5 * ((x1[..., i] + x2[..., i]) - 1j * (p1[..., i] - p2[..., i]))
     elif kind == "P":
-        pref = 0.5 * ((p1[i] + p2[i]) + 1j * (x1[i] - x2[i]))
+        pref = 0.5 * ((p1[..., i] + p2[..., i]) + 1j * (x1[..., i] - x2[..., i]))
     else:
         raise ValueError("kind must be 'X' or 'P'")
-    return pref * coherent_overlap_formula(p1, x1, theta1, p2, x2, theta2)
+    ovl = coherent_overlap_formula(p1, x1, theta1, p2, x2, theta2)
+    # the textbook product, as scalar complex arithmetic rounds it (numpy's
+    # complex multiply loop fuses a multiply-add and changes the last bit)
+    re = pref.real * ovl.real - pref.imag * ovl.imag
+    return re + 1j * (pref.real * ovl.imag + pref.imag * ovl.real)
 
 
 def matrix_element(space: FockSpace, kind: str, axis: int, s1: StateVector, s2: StateVector) -> complex:
@@ -293,17 +320,6 @@ def matrix_element(space: FockSpace, kind: str, axis: int, s1: StateVector, s2: 
 # ---------------------------------------------------------------------------
 
 FOCK_GRAM_KINDS = ("c", "X", "P")
-
-
-def _hp_mode_coeffs(alpha, dim: int) -> list:
-    c = [mpmath.exp(-0.5 * abs(alpha) ** 2)]
-    for n in range(1, dim):
-        c.append(c[-1] * alpha / mpmath.sqrt(n))
-    return c
-
-
-def _hp_alpha(x: float, p: float):
-    return (mpmath.mpf(float(x)) + 1j * mpmath.mpf(float(p))) / mpmath.sqrt(2)
 
 
 def _fixed(value, bits: int) -> int:
@@ -324,6 +340,46 @@ def _fixed_band(mode_dim: int, bits: int) -> tuple:
     return tuple(math.isqrt(n << (2 * bits - 1)) for n in range(1, mode_dim))
 
 
+@lru_cache(maxsize=16)
+def _fixed_step(mode_dim: int, bits: int) -> tuple:
+    """floor(2^bits / sqrt(2n)) for n = 1..mode_dim-1: the step 1/sqrt(2n)
+    of the coherent recursion in fixed point, exact integer square roots."""
+    return tuple(math.isqrt((1 << (2 * bits - 1)) // n) for n in range(1, mode_dim))
+
+
+def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
+    """(re, im): lists of round(c_n 2^bits), n < dim, for the coherent
+    coefficients c_n = exp(-(x^2 + p^2)/4) (x + i p)^n / sqrt(2^n n!).
+
+    The recursion c_n = c_{n-1} (x + i p)/sqrt(2n) runs in integers with
+    w = bits + guard fractional bits, from c_0 (one mpmath exp at w bits) and
+    X + iP = round((x + i p) 2^w), rounding each step to nearest.  The guard
+    covers the growth of the error in c_0 up to the Poisson peak (at most
+    exp((x^2 + p^2)/4)), one rounding per step and 32 bits more, so each
+    result is correctly rounded unless it lies within 2^-32 units of a tie.
+    """
+    lam = 0.5 * (x * x + p * p)  # mean occupation |alpha|^2
+    # log of the largest |c_n|: the Poisson peak at n = floor(lam), or the last level
+    top = dim - 1 if lam >= dim - 1 else math.floor(lam)
+    log_peak = 0.5 * (top * math.log(lam) - math.lgamma(top + 1) - lam) if top else -0.5 * lam
+    if not log_peak >= -(bits + 2) * math.log(2.0):
+        # every |c_n| 2^bits < 1/4 (also when lam overflows to inf)
+        return [0] * dim, [0] * dim
+    guard = 36 + dim.bit_length() + math.ceil(0.5 * lam * math.log2(math.e))
+    w = bits + guard
+    with mpmath.workprec(w + 8):
+        cr, ci = _fixed(mpmath.exp(-(mpmath.mpf(x) ** 2 + mpmath.mpf(p) ** 2) / 4), w), 0
+    big_x, big_p = _fixed(mpmath.mpf(x), w), _fixed(mpmath.mpf(p), w)
+    half, shift = 1 << (2 * w - 1), 2 * w
+    re, im = [cr], [ci]
+    for r in _fixed_step(dim, w):
+        cr, ci = ((cr * big_x - ci * big_p) * r + half) >> shift, ((cr * big_p + ci * big_x) * r + half) >> shift
+        re.append(cr)
+        im.append(ci)
+    half = 1 << (guard - 1)
+    return [(v + half) >> guard for v in re], [(v + half) >> guard for v in im]
+
+
 def _fock_gram_fixed(rows, cols, cutoff: int, kind: str, dps: int) -> tuple:
     """Exact integer sums behind fock_gram_hp: (re, im, frac_bits), where
     re + i im over 2^frac_bits is <r|O|c> for every row and column label."""
@@ -335,11 +391,7 @@ def _fock_gram_fixed(rows, cols, cutoff: int, kind: str, dps: int) -> tuple:
     cols = [(float(p), float(x)) for p, x in cols]
     if not all(math.isfinite(v) for label in rows + cols for v in label):
         raise ValueError("labels must be finite")
-    fixed = {}
-    with mpmath.workdps(dps):
-        for p, x in dict.fromkeys(rows + cols):
-            coeffs = _hp_mode_coeffs(_hp_alpha(x, p), dim)
-            fixed[(p, x)] = [[_fixed(c.real, bits) for c in coeffs], [_fixed(c.imag, bits) for c in coeffs]]
+    fixed = {label: _fixed_coherent(*label, dim, bits) for label in dict.fromkeys(rows + cols)}
     # real and imaginary parts as (labels, dim) arrays of Python ints
     r_re, r_im = np.array([fixed[label] for label in rows], dtype=object).transpose(1, 0, 2)
     c_re, c_im = np.array([fixed[label] for label in cols], dtype=object).transpose(1, 0, 2)
@@ -371,8 +423,8 @@ def fock_gram_hp(rows, cols, cutoff: int, kind: str = "c", dps: int = 30) -> np.
     r = (p, x) and column label c, with O the identity ("c"), X or P; a
     complex array of shape (len(rows), len(cols)).
 
-    Each distinct label's coherent coefficients are computed once at `dps`
-    digits and rounded once to integers with prec(dps) + 32 fractional bits;
+    Each distinct label's coherent coefficients are computed once, correctly
+    rounded to integers with prec(dps) + 32 fractional bits (_fixed_coherent);
     the X and P images use fixed-point band roots, and every element is one
     exact integer sum (an exact dot product, Kulisch-Miranker 1981), rounded
     once to complex at the end.
@@ -620,26 +672,6 @@ def grid_coherent_state(grid: GridSpace, p: float, x: float, theta: float = 0.0)
     return StateVector(
         "grid", grid, coeff, np.atleast_1d(float(p)), np.atleast_1d(float(x)), float(theta)
     )
-
-
-def grid_delta_state(grid: GridSpace, index: int) -> StateVector:
-    if not 0 <= index < grid.points:
-        raise ValueError(f"index {index} outside the {grid.points}-point grid")
-    c = np.zeros(grid.points, dtype=complex)
-    c[index] = 1.0
-    return StateVector("grid", grid, c)
-
-
-def grid_position_action(grid: GridSpace, p: float, x_index: int, theta: float = 0.0) -> complex:
-    """Eigenvalue of the diagonal phase action exp(i(p X + theta)) on the
-    delta vector at grid point x_index."""
-    delta = grid_delta_state(grid, x_index)
-    phased = np.exp(1j * (p * grid.positions + theta)) * delta.coefficients
-    factor = complex(np.exp(1j * (p * grid.positions[x_index] + theta)))
-    residual = np.abs(phased - factor * delta.coefficients).max()
-    if residual > 1e-15:
-        raise AssertionError("diagonal action failed to act as a pure scale")
-    return factor
 
 
 def grid_translate(grid: GridSpace, state: StateVector, shift: float) -> StateVector:

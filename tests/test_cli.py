@@ -299,11 +299,14 @@ def test_nan_grid_error_fails_the_check(monkeypatch):
     formula = cli.hilbert.coherent_overlap_formula
 
     def poisoned(p1, x1, theta1, p2, x2, theta2):
-        # one label pair in the middle of the 1D grid loop, given as scalars
-        # (the grid loops) or as 1-vectors (inside matrix_element_formula)
-        if [np.ravel(v).tolist() for v in (p1, x1, p2, x2)] == [[1.5], [0.0], [-1.5], [3.0]]:
-            return complex(math.nan, 0.0)
-        return formula(p1, x1, theta1, p2, x2, theta2)
+        # NaN at the (1.5, 0.0)/(-1.5, 3.0) entry of the broadcast grid result,
+        # also when matrix_element_formula calls the overlap for its grid
+        out = np.array(formula(p1, x1, theta1, p2, x2, theta2))
+        hit = np.ones(out.shape, dtype=bool)
+        for label, value in zip((p1, x1, p2, x2), (1.5, 0.0, -1.5, 3.0)):
+            hit &= np.all(np.atleast_1d(label) == value, axis=-1)
+        out[hit] = complex(math.nan, 0.0)
+        return complex(out) if out.ndim == 0 else out
 
     monkeypatch.setattr(cli.hilbert, "coherent_overlap_formula", poisoned)
     records = {r.check_id: r for r in cli.criterion_04_overlaps(np.random.default_rng(7))}

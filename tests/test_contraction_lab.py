@@ -8,8 +8,6 @@ from qclimit.contraction_lab import (
     CSV_COLUMNS,
     ContractionRunConfig,
     canonical_pair,
-    classicalization_report,
-    contracted_expectations,
     decay_slope,
     eigenvalue_residual,
     gram_matrix,
@@ -51,15 +49,6 @@ def test_relabeled_state_sits_at_contracted_labels():
         s = relabel_coherent(space, k, 0.4, -0.6)
         assert abs(matrix_element(space, "X", 1, s, s).real / k - (-0.6)) < 1e-12
         assert abs(matrix_element(space, "P", 1, s, s).real / k - 0.4) < 1e-12
-
-
-def test_contracted_variances_shrink_with_hbar():
-    for k in (1.0, 2.0, 4.0):
-        cutoff = required_cutoff(k, ((0.3, 0.5, 0.0),))
-        space = build_fock_space(1, cutoff)
-        out = contracted_expectations(space, k, 0.3, 0.5)
-        assert out["var_x"] == pytest.approx(out["hbar"] / 2.0, abs=1e-12)
-        assert out["var_p"] == pytest.approx(out["hbar"] / 2.0, abs=1e-12)
 
 
 def test_predicted_overlap_equals_physical_label_formula():
@@ -167,20 +156,6 @@ def test_csv_round_trip(tmp_path):
     assert len(rows) == len(records)
     assert float(rows[0]["overlap_abs"]) == records[0].overlap_abs
     assert rows[0]["backend"] in ("fock", "closed_form")
-
-
-def test_report_bundles_all_sections():
-    config = ContractionRunConfig(k_values=(1.0, 2.0, 3.0), pairs=(canonical_pair(),))
-    report = classicalization_report(config)
-    assert {m["k"]: m["hbar"] for m in report["hbar_mapping"]} == {
-        1.0: 1.0,
-        2.0: 0.25,
-        3.0: pytest.approx(1.0 / 9.0),
-    }
-    assert report["slopes"][0]["predicted"] == -0.25
-    assert abs(report["slopes"][0]["fitted"] - (-0.25)) < 0.01
-    assert all(r["residual_x"] > 0 for r in report["localization"])
-    assert len(report["decay"]) == 6
 
 
 def test_config_validation():

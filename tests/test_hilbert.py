@@ -20,8 +20,6 @@ from qclimit.hilbert import (
     fock_matrix_element_hp,
     fock_overlap_hp,
     grid_coherent_state,
-    grid_delta_state,
-    grid_position_action,
     grid_translate,
     matrix_element,
     matrix_element_formula,
@@ -170,6 +168,25 @@ def test_truncation_guard_reports_required_cutoff():
         coherent_state(space, p=3.0, x=3.0)
     assert err.value.required_cutoff == 36
     coherent_state(build_fock_space(1, 36), p=3.0, x=3.0)
+
+
+@pytest.mark.parametrize("p, x, tail", [(0.8, 0.6, 2.009e-111), (3.0, 2.0, 1.397e-41)])
+def test_truncation_bound_is_the_dropped_poisson_mass(p, x, tail):
+    lam = (p * p + x * x) / 2.0
+    with mpmath.workdps(40):
+        ref = float(mpmath.gammainc(65, 0, lam, regularized=True))
+    assert ref == pytest.approx(tail, rel=1e-3, abs=0.0)
+    assert coherent_state(build_fock_space(1, 64), p, x).truncation_bound == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_truncation_bound_combines_modes_and_vanishes_at_the_vacuum():
+    assert coherent_state(build_fock_space(1, 64), 0.0, 0.0).truncation_bound == 0.0
+    p, x = np.array([1.5, 0.2, -1.0]), np.array([1.0, 0.0, 1.0])
+    lams = (p * p + x * x) / 2.0
+    with mpmath.workdps(40):
+        kept = mpmath.fprod(1 - mpmath.gammainc(17, 0, lam, regularized=True) for lam in lams)
+        ref = float(1 - kept)
+    assert coherent_state(build_fock_space(3, 16), p, x).truncation_bound == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_overlap_requires_matching_spaces():
@@ -324,6 +341,69 @@ def test_fock_gram_hp_rejects_unknown_kind_and_non_finite_labels():
         fock_matrix_element_hp("c", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, cutoff=8)
     with pytest.raises(ValueError, match="finite"):
         fock_gram_hp([(math.nan, 0.0)], [(0.0, 0.0)], 8, "c")
+
+
+def _coherent_reference(p, x, dim, bits, dps=120):
+    """c_n 2^bits for n < dim by the plain recursion at `dps` digits."""
+    with mpmath.workdps(dps):
+        z = mpmath.mpf(x) + 1j * mpmath.mpf(p)
+        c = mpmath.exp(-(mpmath.mpf(x) ** 2 + mpmath.mpf(p) ** 2) / 4)
+        out = [c]
+        for n in range(1, dim):
+            c = c * z / mpmath.sqrt(2 * n)
+            out.append(c)
+        return [v * mpmath.mpf(2) ** bits for v in out]
+
+
+@pytest.mark.parametrize("p, x, cutoff", [(14.0, 14.0, 512), (3.0, -3.0, 64), (1.5, 0.0, 64), (0.0, 15.0, 64)])
+def test_fixed_coherent_is_within_one_unit_of_a_120_digit_reference(p, x, cutoff):
+    from qclimit.hilbert import _fixed_coherent
+
+    bits = mpmath.libmp.dps_to_prec(30) + 32
+    re, im = _fixed_coherent(p, x, cutoff + 1, bits)
+    ref = _coherent_reference(p, x, cutoff + 1, bits)
+    assert len(re) == len(im) == cutoff + 1
+    with mpmath.workdps(120):
+        assert max(max(abs(a - r.real), abs(b - r.imag)) for a, b, r in zip(re, im, ref)) <= 1
+
+
+def test_fixed_coherent_far_beyond_the_cutoff_rounds_to_zero():
+    from qclimit.hilbert import _fixed_coherent
+
+    # every |c_n| with n <= 64 is below 2^-135 at both labels; at x = 1e200, x^2 overflows
+    for p, x in ((40.0, 0.0), (0.0, 1e200)):
+        assert _fixed_coherent(p, x, 65, 135) == ([0] * 65, [0] * 65)
+
+
+@pytest.mark.parametrize("modes", [1, 3])
+def test_broadcast_closed_forms_equal_scalar_calls_bit_for_bit(modes):
+    rng = np.random.default_rng(40 + modes)
+    p1, x1, p2, x2 = (rng.uniform(-3.0, 3.0, size=(200, modes)) for _ in range(4))
+    t1, t2 = rng.uniform(-np.pi, np.pi, size=(2, 200))
+
+    def labels(i):
+        """Pair i as a scalar call takes it: plain floats for 1 mode, 1-D arrays for 3."""
+        one = (lambda v: float(v[0])) if modes == 1 else (lambda v: v)
+        return one(p1[i]), one(x1[i]), t1[i], one(p2[i]), one(x2[i]), t2[i]
+
+    grid = coherent_overlap_formula(p1, x1, t1, p2, x2, t2)
+    one = np.array([coherent_overlap_formula(*labels(i)) for i in range(200)])
+    assert grid.shape == (200,) and grid.tobytes() == one.tobytes()
+    for kind, axis in itertools.product(("X", "P"), range(1, modes + 1)):
+        grid = matrix_element_formula(kind, axis, p1, x1, t1, p2, x2, t2)
+        one = np.array([matrix_element_formula(kind, axis, *labels(i)) for i in range(200)])
+        assert grid.tobytes() == one.tobytes(), (kind, axis)
+
+
+def test_closed_forms_broadcast_rows_against_columns():
+    rows = np.array([[0.5, -1.0], [2.0, 0.25]])[:, None, :]  # (p, x) along the last axis
+    cols = np.array([[-1.5, 0.0], [0.0, 3.0], [1.0, 1.0]])[None, :, :]
+    grid = coherent_overlap_formula(rows[..., :1], rows[..., 1:], 0.0, cols[..., :1], cols[..., 1:], 0.0)
+    assert grid.shape == (2, 3)
+    for i, j in itertools.product(range(2), range(3)):
+        (p1, x1), (p2, x2) = rows[i, 0], cols[0, j]
+        assert grid[i, j] == coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
+    assert isinstance(coherent_overlap_formula(0.5, -1.0, 0.0, 0.0, 3.0, 0.0), complex)
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +717,6 @@ def test_grid_overlap_matches_closed_form():
         )
         want = coherent_overlap_formula(p1, x1, t1, p2, x2, t2)
         assert abs(got - want) < 1e-9
-
-
-def test_grid_position_action_is_diagonal_phase():
-    grid = GridSpace(10.0, 160)
-    factor = grid_position_action(grid, p=1.5, x_index=40, theta=0.3)
-    y = grid.positions[40]
-    assert abs(factor - np.exp(1j * (1.5 * y + 0.3))) < 1e-15
-    assert abs(abs(factor) - 1.0) < 1e-15
-    with pytest.raises(ValueError, match="outside"):
-        grid_delta_state(grid, 160)
 
 
 def test_grid_translation_shifts_labels_with_half_phase():
