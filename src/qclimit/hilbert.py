@@ -16,9 +16,11 @@ superdiagonal of the truncated annihilator: X and P are banded sparse
 matrices, and the truncated X is a Jacobi matrix whose spectrum X = V L V^T
 (one symmetric tridiagonal eigensolve per mode dimension, cached) gives
 every Weyl factor exactly on the truncated space (Golub-Welsch 1969):
-exp(i a X) = V exp(i a L) V^T, and P = U X U^dagger with U = diag(i^n).
+exp(i a X) = V exp(i a L) V^T, and P = D X D^dagger with D = diag(i^n).
 No dense ladder or quadrature matrix is formed, so building a space and
-checking its ladder cost O(N).
+checking its ladder cost O(N).  Weyl factors are applied through V^T, a
+diagonal and V, never formed (f(A) b without f(A), Higham 2008, ch. 13):
+O(N^2) per mode per vector.
 
 All tolerance-critical closed forms (overlap, matrix elements) have high
 precision Fock-sum counterparts (suffix _hp), so that formula checks are not
@@ -481,58 +483,55 @@ def fock_matrix_element_hp(
 # ---------------------------------------------------------------------------
 
 
+def _spectral_steps(steps: tuple, w: np.ndarray) -> np.ndarray:
+    """One mode's steps on the columns of a complex C-array w of shape (N, K):
+    (pre, alpha, post) maps w to post * V(exp(i alpha L) * V^T(pre * w))."""
+    lam, v = _x_spectrum(w.shape[0])
+    for pre, alpha, post in steps:
+        w = w if pre is None else pre[:, None] * w
+        # the real V acts on the interleaved (re, im) columns of the complex array
+        w = np.exp(1j * alpha * lam)[:, None] * (v.T @ w.view(float)).view(complex)
+        w = (v @ w.view(float)).view(complex)
+        w = w if post is None else post[:, None] * w
+    return w
+
+
 @dataclass(frozen=True)
 class WeylOperator:
-    """Product-form unitary: a global phase times one matrix per mode."""
+    """Matrix-free product-form unitary: a global phase and, per mode, spectral
+    steps (pre, alpha, post) = post * exp(i alpha X) * pre with diagonal phases
+    pre and post (None: identity).  apply() forms no N x N factor and costs
+    O(N^2) per mode per vector (O(N^(m+1)) on m modes); matrix() is a test aid.
+    """
 
     space: FockSpace
     phase: complex
-    factors: tuple
+    steps: tuple
 
     def apply(self, state: StateVector) -> StateVector:
         if state.backend != "fock" or state.space != self.space:
             raise ValueError("operator and state live on different spaces")
-        c = state.coefficients
         n = self.space.mode_dim
-        if self.space.modes == 1:
-            out = self.factors[0] @ c
-        else:
-            t = c.reshape((n, n, n))
-            for mode, f in enumerate(self.factors):
-                t = np.moveaxis(np.tensordot(f, t, axes=([1], [mode])), 0, mode)
-            out = t.reshape(-1)
-        return StateVector("fock", self.space, self.phase * out)
+        t = np.ascontiguousarray(state.coefficients, dtype=complex)
+        for steps in self.steps:
+            # the current mode leads; the transpose rotates the next one to the front
+            t = _spectral_steps(steps, t.reshape(n, -1)).T
+        return StateVector("fock", self.space, self.phase * t.reshape(-1))
 
     def matrix(self) -> np.ndarray:
-        m = self.factors[0]
-        for f in self.factors[1:]:
-            m = np.kron(m, f)
-        return self.phase * m
-
-    def dagger(self) -> "WeylOperator":
-        return WeylOperator(
-            self.space,
-            np.conj(self.phase),
-            tuple(f.conj().T for f in self.factors),
-        )
-
-
-def _exp_i_x(mode_dim: int, alpha: float) -> np.ndarray:
-    """exp(i alpha X) = V exp(i alpha L) V^T on one truncated mode."""
-    lam, v = _x_spectrum(mode_dim)
-    return (v * np.cos(alpha * lam)) @ v.T + 1j * ((v * np.sin(alpha * lam)) @ v.T)
-
-
-def _conjugate_by_phases(m: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """D m D^dagger for D = diag(phases)."""
-    return phases[:, None] * m * phases.conj()[None, :]
+        """The dense unitary (a test aid): each mode's steps on the identity."""
+        m = self.phase * np.ones((1, 1))
+        for steps in self.steps:
+            m = np.kron(m, _spectral_steps(steps, np.eye(self.space.mode_dim, dtype=complex)))
+        return m
 
 
 def weyl_unitary(space: FockSpace, p, x, theta: float = 0.0, form: str = "factored") -> WeylOperator:
-    """U(p, x, theta) in product form.
+    """U(p, x, theta) as per-mode spectral steps, each exp(i alpha X) between
+    diagonal phases (see WeylOperator); recording them costs O(N) per mode.
 
     form='factored' multiplies exp(i x.p/2) exp(-i x.P) exp(i p.X) per mode,
-    with exp(-i x P) = U exp(-i x X) U^dagger for U = diag(i^n);
+    with exp(-i x P) = D exp(-i x X) D^dagger for D = diag(i^n);
     form='single' exponentiates i(p.X - x.P) in one step, as the rotated
     quadrature p X - x P = r R X R^dagger with r = hypot(p, x),
     R = diag(exp(-i phi n)) and phi = atan2(x, p).  Both carry the global
@@ -544,19 +543,17 @@ def weyl_unitary(space: FockSpace, p, x, theta: float = 0.0, form: str = "factor
         raise ValueError("form must be 'factored' or 'single'")
     p = _as_mode_vector(p, space.modes)
     x = _as_mode_vector(x, space.modes)
-    n = space.mode_dim
-    levels = np.arange(n)
+    levels = np.arange(space.mode_dim)
     quarter_turns = np.array([1.0, 1j, -1.0, -1j])[levels % 4]
-    factors = []
+    steps = []
     for i in range(space.modes):
         if form == "factored":
-            shift = _conjugate_by_phases(_exp_i_x(n, -x[i]), quarter_turns)
-            f = np.exp(0.5j * x[i] * p[i]) * shift @ _exp_i_x(n, p[i])
+            shift = (quarter_turns.conj(), -x[i], np.exp(0.5j * x[i] * p[i]) * quarter_turns)
+            steps.append(((None, p[i], None), shift))
         else:
             rotation = np.exp(-1j * math.atan2(x[i], p[i]) * levels)
-            f = _conjugate_by_phases(_exp_i_x(n, math.hypot(p[i], x[i])), rotation)
-        factors.append(f)
-    return WeylOperator(space, np.exp(1j * float(theta)), tuple(factors))
+            steps.append(((rotation.conj(), math.hypot(p[i], x[i]), rotation),))
+    return WeylOperator(space, np.exp(1j * float(theta)), tuple(steps))
 
 
 def rotation_unitary_apply(space: FockSpace, omega, state: StateVector) -> StateVector:

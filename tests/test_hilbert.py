@@ -11,6 +11,7 @@ from qclimit.coset_rep import WeylLabel, rotation_from_omega, weyl_compose_formu
 from qclimit.hilbert import (
     FockSpace,
     GridSpace,
+    StateVector,
     TruncationGuardError,
     build_fock_space,
     coherent_overlap_formula,
@@ -473,8 +474,6 @@ def test_weyl_unitary_is_unitary():
     u = weyl_unitary(space, 1.2, -0.7, 0.5)
     m = u.matrix()
     assert np.abs(m @ m.conj().T - np.eye(space.dim)).max() < 1e-12
-    ud = u.dagger()
-    assert np.abs(ud.matrix() - m.conj().T).max() == 0.0
 
 
 def test_weyl_group_law_on_vacuum():
@@ -555,6 +554,45 @@ def test_spectral_weyl_factors_match_expm_three_modes():
             got = weyl_unitary(space, p, x, theta, form=form).matrix()
             want = _expm_weyl(space, p, x, theta, form)
             assert np.abs(got - want).max() <= 1e-12, form
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 20), (1, 64), (1, 256), (1, 512), (3, 8)])
+def test_weyl_apply_matches_expm_on_random_states(modes, cutoff):
+    space = build_fock_space(modes, cutoff)
+    rng = np.random.default_rng(100 * modes + cutoff)
+    extent = 2.0 if modes == 1 else 0.8
+    p, x = rng.uniform(-extent, extent, size=(2, modes))
+    theta = rng.uniform(-np.pi, np.pi)
+    c = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    c /= np.linalg.norm(c)
+    state = StateVector("fock", space, c)
+    for form in ("factored", "single"):
+        got = weyl_unitary(space, p, x, theta, form=form).apply(state).coefficients
+        want = _expm_weyl(space, p, x, theta, form) @ c
+        assert np.abs(got - want).max() <= 1e-12, (modes, cutoff, form)
+
+
+def test_weyl_operator_holds_no_formed_factor():
+    """Only scalars and length-N phase vectors: an N x N factor cannot return unnoticed."""
+    space = build_fock_space(1, 512)
+    for form in ("factored", "single"):
+        u = weyl_unitary(space, 1.1, -0.6, 0.3, form=form)
+        assert np.ndim(u.phase) == 0
+        for steps in u.steps:
+            for pre, alpha, post in steps:
+                assert np.ndim(alpha) == 0
+                for diag in (pre, post):
+                    assert diag is None or diag.shape == (space.mode_dim,)
+
+
+def test_weyl_forms_are_distinct_routes_that_agree():
+    """C06.factored-vs-single compares two computations, not one twice."""
+    space = build_fock_space(1, 64)
+    vac = vacuum_state(space)
+    fact = weyl_unitary(space, 0.83, -1.27, 0.4, form="factored").apply(vac).coefficients
+    single = weyl_unitary(space, 0.83, -1.27, 0.4, form="single").apply(vac).coefficients
+    assert not np.array_equal(fact, single)
+    assert np.abs(fact - single).max() <= 1e-12
 
 
 def test_weyl_unitary_rejects_unknown_form():
