@@ -312,7 +312,8 @@ def criterion_07_operator_realization() -> list[CheckRecord]:
     ]
 
 
-def criterion_08_contraction_sweep() -> list[CheckRecord]:
+def criterion_08_contraction_sweep() -> tuple:
+    """The C08 checks and the decay records they read, which `all` writes as CSV."""
     config = contraction_lab.ContractionRunConfig(
         k_values=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0), pairs=(contraction_lab.canonical_pair(),)
     )
@@ -324,7 +325,7 @@ def criterion_08_contraction_sweep() -> list[CheckRecord]:
         CheckRecord("C08.closed-form-decay", "contracted-overlap-decay", closed_err, 0.0, 1e-12),
         CheckRecord("C08.fock-decay", "contracted-overlap-decay", fock_err, 0.0, 1e-4),
         CheckRecord("C08.decay-slope", "contracted-overlap-decay", slope, -0.25, 0.0025),
-    ]
+    ], records
 
 
 def criterion_09_eigenvalue_emergence() -> list[CheckRecord]:
@@ -332,6 +333,7 @@ def criterion_09_eigenvalue_emergence() -> list[CheckRecord]:
     want = 0.5 * ((l1[1] + l2[1]) - 1j * (l1[0] - l2[0]))
     ratio_err = []
     diag_err = []
+    loc_err = []
     for k in (1.0, 2.0, 4.0, 6.0, 8.0):
         cutoff = contraction_lab.required_cutoff(k, (l1, l2))
         space = hilbert.build_fock_space(1, cutoff)
@@ -341,12 +343,15 @@ def criterion_09_eigenvalue_emergence() -> list[CheckRecord]:
         ratio_err.append(abs(ratio - want))
         diag = hilbert.matrix_element(space, "X", 1, s2, s2).real / k
         diag_err.append(abs(diag - l2[1]))
+        res = contraction_lab.eigenvalue_residual(k, l2[0], l2[1])
+        loc_err.extend(abs(res[key] - res["predicted"]) / res["predicted"] for key in ("residual_x", "residual_p"))
     closed, fock = contraction_lab.gram_matrix(6.0, contraction_lab.canonical_pair())
     gram_err = abs(abs(fock[0, 1]) - math.exp(-9.0)) / math.exp(-9.0)
     return [
         CheckRecord("C09.element-ratio", "matrix-element-ratio", _worst(ratio_err), 0.0, 1e-8),
         CheckRecord("C09.contracted-diagonal", "matrix-element-ratio", _worst(diag_err), 0.0, 1e-10),
         CheckRecord("C09.gram-offdiagonal", "contracted-overlap-decay", gram_err, 0.0, 1e-6),
+        CheckRecord("C09.localization", "contracted-localization", _worst(loc_err), 0.0, 1e-9),
     ]
 
 
@@ -438,6 +443,7 @@ def criterion_12_determinism(seed: int) -> list[CheckRecord]:
     return [CheckRecord("C12.determinism", "plumbing", 0.0 if same else 1.0, 0.0, 0.0)]
 
 
+# each runner returns its check records; C08's returns (records, decay records)
 CRITERION_RUNNERS = {
     1: ("algebra axioms", lambda rng, seed: criterion_01_algebra_axioms()),
     2: ("contraction limit", lambda rng, seed: criterion_02_contraction_limit()),
@@ -455,15 +461,20 @@ CRITERION_RUNNERS = {
 
 
 def run_battery(seed: int = 7):
-    """All acceptance criteria in order; returns (records, per-criterion seconds)."""
+    """All acceptance criteria in order; returns (records, per-criterion
+    seconds, C08's decay records)."""
     rng = np.random.default_rng(seed)
     records = []
     timings = {}
+    sweep = None
     for number, (label, runner) in CRITERION_RUNNERS.items():
         start = time.perf_counter()
-        records.extend(runner(rng, seed))
+        result = runner(rng, seed)
         timings[number] = time.perf_counter() - start
-    return records, timings
+        if isinstance(result, tuple):
+            result, sweep = result
+        records.extend(result)
+    return records, timings, sweep
 
 
 def battery_by_criterion(records) -> dict:
@@ -520,15 +531,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
+def _positive_int(text: str, low: int = 1, high: int | None = None) -> int:
+    """argparse type: an integer >= low (default 1), and <= high when given."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not an integer >= 1")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise argparse.ArgumentTypeError(f"{value} is not an integer {bound}")
     return value
+
+
+def _cutoff(text: str) -> int:
+    """argparse type: a Fock cutoff, an integer in [2, FOCK_MAX_CUTOFF]."""
+    return _positive_int(text, 2, contraction_lab.FOCK_MAX_CUTOFF)
 
 
 def _positive_rational(text: str) -> Fraction:
@@ -759,16 +776,12 @@ def cmd_flow_check(args) -> list[CheckRecord]:
 
 
 def cmd_all(args) -> tuple:
-    records, timings = run_battery(args.seed)
+    records, timings, sweep = run_battery(args.seed)
     grouped = battery_by_criterion(records)
     for number in sorted(grouped):
         label = CRITERION_RUNNERS[number][0]
         ok = all(r.passed for r in grouped[number])
         print(f"criterion {number:02d} ({label}): {'PASS' if ok else 'FAIL'}  [{timings[number]:.2f}s]")
-    config = contraction_lab.ContractionRunConfig(
-        k_values=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0), pairs=(contraction_lab.canonical_pair(),)
-    )
-    sweep = contraction_lab.overlap_decay_sweep(config)
     return records, contraction_lab.csv_rows(sweep)
 
 
@@ -819,7 +832,7 @@ def make_parser() -> argparse.ArgumentParser:
         "coherent-overlap", help="overlap checks on a backend", parents=[shared]
     )
     s.add_argument("--backend", default="fock", choices=["fock", "grid"])
-    s.add_argument("--cutoff", type=int, default=64)
+    s.add_argument("--cutoff", type=_cutoff, default=64)
     s.add_argument("--modes", type=int, default=1, choices=[1, 3])
     s.add_argument("--grid-extent", type=_positive_float, default=10.0)
     s.add_argument("--grid-points", type=int, default=160)
@@ -853,7 +866,7 @@ def make_parser() -> argparse.ArgumentParser:
     s = sub.add_parser(
         "flow-check", help="ray flow: coefficient vs canonical routes", parents=[shared]
     )
-    s.add_argument("--cutoff", type=int, default=32)
+    s.add_argument("--cutoff", type=_cutoff, default=32)
     s.add_argument("--t-final", type=_positive_float, default=10.0)
     s.add_argument("--dt", type=_positive_float, default=1e-3)
     s.add_argument("--p", type=_finite_float, default=0.8)

@@ -21,6 +21,7 @@ import numpy as np
 from qclimit.hilbert import (
     FockSpace,
     StateVector,
+    apply_quadrature,
     build_fock_space,
     coherent_overlap_formula,
     coherent_state,
@@ -42,6 +43,9 @@ CSV_COLUMNS = (
 )
 
 
+FOCK_MAX_CUTOFF = 4096  # the largest cutoff used; the float64 ladder check first fails at 4105
+
+
 def hbar_effective(k: float) -> float:
     if not k >= 1.0:
         raise ValueError(f"contraction parameter must satisfy k >= 1, got {k}")
@@ -53,12 +57,6 @@ def required_cutoff(k: float, labels, base: int = 64) -> int:
     floored at `base`, where L^2 is the largest squared contracted label."""
     worst = max(p * p + x * x for p, x, _ in labels)
     return max(base, int(math.ceil(4.0 * k * k * worst)))
-
-
-def rescaled_operators(space: FockSpace, k: float):
-    """Contracted quadratures (X/k, P/k) as sparse matrices."""
-    hbar_effective(k)
-    return space.x_op() / k, space.p_op() / k
 
 
 def relabel_coherent(space: FockSpace, k: float, p_c: float, x_c: float, theta: float = 0.0) -> StateVector:
@@ -82,7 +80,7 @@ class ContractionRunConfig:
     k_values: tuple
     pairs: tuple
     base_cutoff: int = 64
-    fock_max_cutoff: int = 4096
+    fock_max_cutoff: int = FOCK_MAX_CUTOFF
 
     def __post_init__(self):
         if not self.k_values:
@@ -202,9 +200,9 @@ def eigenvalue_residual(k: float, p_c: float, x_c: float, base_cutoff: int = 64)
     cutoff = required_cutoff(k, ((p_c, x_c, 0.0),), base=base_cutoff)
     space = build_fock_space(1, cutoff)
     state = relabel_coherent(space, k, p_c, x_c)
-    xc, pc = rescaled_operators(space, k)
-    rx = float(np.linalg.norm(xc @ state.coefficients - x_c * state.coefficients))
-    rp = float(np.linalg.norm(pc @ state.coefficients - p_c * state.coefficients))
+    c = state.coefficients
+    rx = float(np.linalg.norm(apply_quadrature(space, "X", 1, c) / k - x_c * c))
+    rp = float(np.linalg.norm(apply_quadrature(space, "P", 1, c) / k - p_c * c))
     return {
         "k": float(k),
         "hbar": hbar_effective(k),
@@ -215,20 +213,12 @@ def eigenvalue_residual(k: float, p_c: float, x_c: float, base_cutoff: int = 64)
     }
 
 
-def gram_matrix(k: float, labels, base_cutoff: int = 64, fock_max_cutoff: int = 4096):
+def gram_matrix(k: float, labels, base_cutoff: int = 64, fock_max_cutoff: int = FOCK_MAX_CUTOFF):
     """Gram matrices of the relabeled family: (closed form, Fock or None)."""
-    n = len(labels)
-    closed = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            closed[i, j] = predicted_overlap(k, labels[i], labels[j])
+    closed = np.array([[predicted_overlap(k, a, b) for b in labels] for a in labels])
     cutoff = required_cutoff(k, labels, base=base_cutoff)
     if cutoff > fock_max_cutoff:
         return closed, None
     space = build_fock_space(1, cutoff)
     states = [relabel_coherent(space, k, p, x, t) for p, x, t in labels]
-    fock = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            fock[i, j] = overlap(states[i], states[j])
-    return closed, fock
+    return closed, np.array([[overlap(a, b) for b in states] for a in states])

@@ -12,15 +12,18 @@ Conventions, fixed once and used everywhere:
 - states carry the label phase: state(p, x, theta) = exp(i theta) D(alpha)|0>.
 
 Per mode, everything is derived from one ladder vector sqrt(1..N), the
-superdiagonal of the truncated annihilator: X and P are banded sparse
-matrices, and the truncated X is a Jacobi matrix whose spectrum X = V L V^T
-(one symmetric tridiagonal eigensolve per mode dimension, cached) gives
-every Weyl factor exactly on the truncated space (Golub-Welsch 1969):
-exp(i a X) = V exp(i a L) V^T, and P = D X D^dagger with D = diag(i^n).
-No dense ladder or quadrature matrix is formed, so building a space and
-checking its ladder cost O(N).  Weyl factors are applied through V^T, a
-diagonal and V, never formed (f(A) b without f(A), Higham 2008, ch. 13):
-O(N^2) per mode per vector.
+superdiagonal of the truncated annihilator.  The coherent coefficients are
+one running product of exp(-|alpha|^2/2) and alpha/sqrt(n).  X and P act on
+states through their two bands, matrix-free (apply_quadrature); sparse
+matrices are formed only where a matrix is itself the object: the bracket
+check (C07), the flow Hamiltonian and the rotation generators j_op.  The
+truncated X is a Jacobi matrix whose spectrum X = V L V^T (one symmetric
+tridiagonal eigensolve per mode dimension, cached) gives every Weyl factor
+exactly on the truncated space (Golub-Welsch 1969): exp(i a X) =
+V exp(i a L) V^T, and P = D X D^dagger with D = diag(i^n).  Building a
+space and checking its ladder cost O(N).  Weyl factors are applied through
+V^T, a diagonal and V, never formed (f(A) b without f(A), Higham 2008,
+ch. 13): O(N^2) per mode per vector.
 
 All tolerance-critical closed forms (overlap, matrix elements) have high
 precision Fock-sum counterparts (suffix _hp), so that formula checks are not
@@ -41,7 +44,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import mpmath
 import numpy as np
@@ -89,31 +93,22 @@ class FockSpace:
     def dim(self) -> int:
         return self.mode_dim**self.modes
 
-    # -- per-mode banded operators, all from the one ladder vector ----------
+    # -- full-space sparse operators, for where a matrix is itself the object
 
-    def mode_x(self) -> sp.csr_matrix:
-        return sp.diags(_quadrature_bands(self.mode_dim)["X"], [-1, 1], format="csr")
-
-    def mode_p(self) -> sp.csr_matrix:
-        return sp.diags(_quadrature_bands(self.mode_dim)["P"], [-1, 1], format="csr")
-
-    # -- full-space sparse operators ---------------------------------------
-
-    def _lift(self, m: sp.csr_matrix, mode: int) -> sp.csr_matrix:
-        """Embed a one-mode matrix at the given mode (1-based) via Kronecker."""
+    def _lift(self, kind: str, mode: int) -> sp.csr_matrix:
+        """The banded X or P of one mode (1-based), embedded via Kronecker."""
         if not 1 <= mode <= self.modes:
             raise ValueError(f"mode {mode} out of range for {self.modes} modes")
-        out = None
-        for i in range(1, self.modes + 1):
-            f = m if i == mode else sp.identity(self.mode_dim, format="csr")
-            out = f if out is None else sp.kron(out, f, format="csr")
-        return out.astype(complex)
+        eye = sp.identity(self.mode_dim, format="csr")
+        band = sp.diags(_quadrature_bands(self.mode_dim)[kind], [-1, 1], format="csr")
+        factors = [band if i == mode else eye for i in range(1, self.modes + 1)]
+        return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors).astype(complex)
 
     def x_op(self, mode: int = 1) -> sp.csr_matrix:
-        return self._lift(self.mode_x(), mode)
+        return self._lift("X", mode)
 
     def p_op(self, mode: int = 1) -> sp.csr_matrix:
-        return self._lift(self.mode_p(), mode)
+        return self._lift("P", mode)
 
     def j_op(self, i: int, j: int) -> sp.csr_matrix:
         """Rotation generator J_ij = X_j P_i - X_i P_j (two distinct modes)."""
@@ -132,12 +127,7 @@ class FockSpace:
 
     def occupations(self) -> np.ndarray:
         """Per-mode occupation numbers of every basis state, shape (dim, modes)."""
-        idx = np.arange(self.dim)
-        out = np.empty((self.dim, self.modes), dtype=int)
-        for mode in range(self.modes - 1, -1, -1):
-            out[:, mode] = idx % self.mode_dim
-            idx = idx // self.mode_dim
-        return out
+        return np.stack(np.unravel_index(np.arange(self.dim), (self.mode_dim,) * self.modes), axis=1)
 
     def safe_mask(self, margin: int = 2) -> np.ndarray:
         """Basis states keeping `margin` empty top levels in every mode."""
@@ -149,11 +139,15 @@ def _ladder(mode_dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1.0, mode_dim))
 
 
-def _quadrature_bands(mode_dim: int) -> dict:
+@lru_cache(maxsize=16)
+def _quadrature_bands(mode_dim: int) -> MappingProxyType:
     """(subdiagonal, superdiagonal) of X = (a + a*)/sqrt(2) and
-    P = (a - a*)/(i sqrt(2)); both have a zero diagonal."""
+    P = (a - a*)/(i sqrt(2)), read-only; both have a zero diagonal."""
     s = _ladder(mode_dim) / SQRT2
-    return {"X": (s, s), "P": (1j * s, -1j * s)}
+    bands = {"X": (s, s), "P": (1j * s, -1j * s)}
+    for band in (s, *bands["P"]):
+        band.flags.writeable = False
+    return MappingProxyType(bands)
 
 
 @lru_cache(maxsize=8)
@@ -195,14 +189,7 @@ class StateVector:
     backend: str
     space: object
     coefficients: np.ndarray
-    label_p: np.ndarray | None = None
-    label_x: np.ndarray | None = None
-    label_theta: float | None = None
     truncation_bound: float = 0.0
-
-    @property
-    def is_coherent(self) -> bool:
-        return self.label_p is not None
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
@@ -218,15 +205,16 @@ def _as_mode_vector(value, modes: int) -> np.ndarray:
 def vacuum_state(space: FockSpace) -> StateVector:
     c = np.zeros(space.dim, dtype=complex)
     c[0] = 1.0
-    return StateVector("fock", space, c, np.zeros(space.modes), np.zeros(space.modes), 0.0)
+    return StateVector("fock", space, c)
 
 
 def _mode_coherent_coeffs(alpha: complex, dim: int) -> np.ndarray:
-    c = np.empty(dim, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
-    return c
+    """c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!), n < dim, as one running
+    product of [exp(-|alpha|^2/2), alpha/sqrt(1), ..., alpha/sqrt(dim - 1)]."""
+    factors = np.empty(dim, dtype=complex)
+    factors[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    factors[1:] = alpha / _ladder(dim)
+    return np.cumprod(factors)
 
 
 def _poisson_tail(lam: float, cutoff: int) -> float:
@@ -258,13 +246,10 @@ def coherent_state(space: FockSpace, p, x, theta: float = 0.0) -> StateVector:
     worst = float(np.max(np.abs(alphas) ** 2))
     if worst > space.cutoff / 4.0:
         raise TruncationGuardError(worst, space.cutoff)
-    vec = None
-    for alpha in alphas:
-        c = _mode_coherent_coeffs(complex(alpha), space.mode_dim)
-        vec = c if vec is None else np.kron(vec, c)
+    vec = reduce(np.kron, [_mode_coherent_coeffs(complex(alpha), space.mode_dim) for alpha in alphas])
     vec = vec * np.exp(1j * theta)
     kept_log = sum(math.log1p(-_poisson_tail(abs(alpha) ** 2, space.cutoff)) for alpha in alphas)
-    return StateVector("fock", space, vec, p, x, float(theta), truncation_bound=abs(math.expm1(kept_log)))
+    return StateVector("fock", space, vec, abs(math.expm1(kept_log)))
 
 
 def overlap(s1: StateVector, s2: StateVector) -> complex:
@@ -310,11 +295,26 @@ def matrix_element_formula(kind: str, axis: int, p1, x1, theta1, p2, x2, theta2)
     return re + 1j * (pref.real * ovl.imag + pref.imag * ovl.real)
 
 
-def matrix_element(space: FockSpace, kind: str, axis: int, s1: StateVector, s2: StateVector) -> complex:
+def apply_quadrature(space: FockSpace, kind: str, axis: int, coefficients: np.ndarray) -> np.ndarray:
+    """X or P of mode `axis` (1-based) applied to a coefficient vector through
+    its two bands, with no operator formed.  On the (n^(axis-1), n, rest) view,
+    row m gets sub[m-1] t[m-1] + sup[m] t[m+1], the two products the sparse
+    matvec sums, so the result equals x_op(axis) @ c (or p_op) bit for bit."""
     if kind not in ("X", "P"):
         raise ValueError("kind must be 'X' or 'P'")
-    op = space.x_op(axis) if kind == "X" else space.p_op(axis)
-    return complex(np.vdot(s1.coefficients, op @ s2.coefficients))
+    if not 1 <= axis <= space.modes:
+        raise ValueError(f"mode {axis} out of range for {space.modes} modes")
+    n = space.mode_dim
+    sub, sup = _quadrature_bands(n)[kind]
+    t = np.asarray(coefficients, dtype=complex).reshape(n ** (axis - 1), n, -1)
+    out = np.zeros_like(t)
+    out[:, :-1] = sup[:, None] * t[:, 1:]
+    out[:, 1:] += sub[:, None] * t[:, :-1]
+    return out.reshape(-1)
+
+
+def matrix_element(space: FockSpace, kind: str, axis: int, s1: StateVector, s2: StateVector) -> complex:
+    return complex(np.vdot(s1.coefficients, apply_quadrature(space, kind, axis, s2.coefficients)))
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +666,7 @@ def grid_coherent_state(grid: GridSpace, p: float, x: float, theta: float = 0.0)
     y = grid.positions
     psi = np.pi**-0.25 * np.exp(-0.5 * (y - x) ** 2 + 1j * p * y - 0.5j * p * x + 1j * theta)
     coeff = psi * math.sqrt(grid.spacing)
-    return StateVector(
-        "grid", grid, coeff, np.atleast_1d(float(p)), np.atleast_1d(float(x)), float(theta)
-    )
+    return StateVector("grid", grid, coeff)
 
 
 def grid_translate(grid: GridSpace, state: StateVector, shift: float) -> StateVector:

@@ -17,7 +17,7 @@ from qclimit import cli
 
 @pytest.fixture(scope="module")
 def battery():
-    records, timings = cli.run_battery(seed=7)
+    records, timings, _ = cli.run_battery(seed=7)
     return cli.battery_by_criterion(records), timings
 
 
@@ -72,6 +72,10 @@ def test_criterion_08_contraction_sweep(battery):
 
 def test_criterion_09_eigenvalue_emergence(battery):
     _assert_criterion(battery, 9)
+    grouped, _ = battery
+    localization = [r for r in grouped[9] if r.check_id == "C09.localization"]
+    assert len(localization) == 1
+    assert 0.0 <= localization[0].measured <= 1e-9
 
 
 def test_criterion_10_star_algebra(battery):

@@ -251,6 +251,35 @@ def test_flow_check_rejected_at_parser(tmp_path, capsys, argv, message):
     assert not list(tmp_path.glob("*_report.json"))
 
 
+@pytest.mark.parametrize("command", ["coherent-overlap", "flow-check"])
+@pytest.mark.parametrize("cutoff", ["1", "5000"])
+def test_cutoff_out_of_range_rejected_at_parser(tmp_path, capsys, command, cutoff):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), command, "--cutoff", cutoff])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --cutoff: {cutoff} is not an integer in [2, 4096]" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_all_runs_one_decay_sweep(tmp_path, monkeypatch):
+    sweep = contraction_lab.overlap_decay_sweep
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return sweep(config)
+
+    monkeypatch.setattr(contraction_lab, "overlap_decay_sweep", counted)
+    code, _ = run_cli(tmp_path, "all")
+    assert code == 0
+    assert len(calls) == 1
+    rows = (tmp_path / "contract_sweep.csv").read_text().splitlines()
+    assert rows[0] == ",".join(contraction_lab.CSV_COLUMNS)
+    assert len(rows) == 1 + len(calls[0].k_values)
+
+
 def test_pass_is_a_python_bool_for_numpy_measurements():
     record = cli.CheckRecord("c", "plumbing", np.float64(1e-12), 0.0, 1e-10)
     assert type(record.passed) is bool

@@ -14,7 +14,6 @@ from qclimit.contraction_lab import (
     hbar_effective,
     overlap_decay_sweep,
     predicted_overlap,
-    rescaled_operators,
     relabel_coherent,
     required_cutoff,
     write_decay_csv,
@@ -35,7 +34,7 @@ def test_effective_hbar_mapping():
 def test_rescaled_commutator_gives_effective_hbar():
     space = build_fock_space(1, 16)
     for k in (1.0, 3.0, 8.0):
-        xc, pc = rescaled_operators(space, k)
+        xc, pc = space.x_op() / k, space.p_op() / k
         comm = (xc @ pc - pc @ xc).toarray()
         body = comm[:-1, :-1]
         target = 1j * hbar_effective(k) * np.eye(space.dim - 1)

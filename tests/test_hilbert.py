@@ -13,6 +13,7 @@ from qclimit.hilbert import (
     GridSpace,
     StateVector,
     TruncationGuardError,
+    apply_quadrature,
     build_fock_space,
     coherent_overlap_formula,
     coherent_state,
@@ -103,7 +104,7 @@ def test_position_operator_small_cutoff_matrix():
             [0.0, SQRT2, 0.0],
         ]
     ) / SQRT2
-    assert np.allclose(space.mode_x().toarray(), expected, atol=1e-15)
+    assert np.allclose(space.x_op().toarray(), expected, atol=1e-15)
 
 
 def test_quadrature_hermiticity_and_edge_commutator():
@@ -161,6 +162,26 @@ def test_coherent_state_coefficients_and_norm():
     assert abs(s.coefficients[3] - c0 * alpha**3 / math.sqrt(6.0)) < 1e-15
     assert abs(s.norm() - 1.0) < 1e-12
     assert s.truncation_bound < 1e-12
+
+
+def _loop_coherent_coeffs(alpha: complex, dim: int) -> np.ndarray:
+    """Reference: the step-by-step recursion c_n = c_(n-1) alpha / sqrt(n)."""
+    c = np.empty(dim, dtype=complex)
+    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(1, dim):
+        c[n] = c[n - 1] * alpha / math.sqrt(n)
+    return c
+
+
+@pytest.mark.parametrize("cutoff", [32, 512, 4096])
+def test_running_product_coefficients_match_the_recursion(cutoff):
+    from qclimit.hilbert import _mode_coherent_coeffs
+
+    for occupation in (0.1, 1.0, 10.0, cutoff / 4 - 1):
+        for phase in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
+            alpha = math.sqrt(occupation) * complex(math.cos(phase), math.sin(phase))
+            got = _mode_coherent_coeffs(alpha, cutoff + 1)
+            assert np.abs(got - _loop_coherent_coeffs(alpha, cutoff + 1)).max() <= 4e-15
 
 
 def test_truncation_guard_reports_required_cutoff():
@@ -448,6 +469,33 @@ def test_three_mode_matrix_elements_touch_only_their_axis():
     for axis in (1, 2, 3):
         assert abs(matrix_element(space, "X", axis, s, s) - x[axis - 1]) < 1e-10
         assert abs(matrix_element(space, "P", axis, s, s) - p[axis - 1]) < 1e-10
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 32), (1, 128), (3, 10)])
+def test_band_quadratures_equal_the_sparse_matvec_bit_for_bit(modes, cutoff):
+    space = build_fock_space(modes, cutoff)
+    rng = np.random.default_rng(cutoff)
+    for axis in range(1, modes + 1):
+        for _ in range(3):
+            c = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+            assert np.array_equal(apply_quadrature(space, "X", axis, c), space.x_op(axis) @ c)
+            assert np.array_equal(apply_quadrature(space, "P", axis, c), space.p_op(axis) @ c)
+
+
+def test_apply_quadrature_rejects_unknown_kind_and_mode():
+    space = build_fock_space(3, 4)
+    c = np.ones(space.dim, dtype=complex)
+    with pytest.raises(ValueError, match="kind must be 'X' or 'P'"):
+        apply_quadrature(space, "J", 1, c)
+    with pytest.raises(ValueError, match="mode 4 out of range"):
+        apply_quadrature(space, "X", 4, c)
+
+
+def test_cached_quadrature_bands_are_read_only():
+    from qclimit.hilbert import _quadrature_bands
+
+    for band in (*_quadrature_bands(9)["X"], *_quadrature_bands(9)["P"]):
+        assert not band.flags.writeable
 
 
 # ---------------------------------------------------------------------------
