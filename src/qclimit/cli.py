@@ -28,6 +28,9 @@ from qclimit import contraction_lab, coset_rep, hilbert, lie_core, star_product
 
 ACCEPT_EPS = (0.0, 1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0, 1.0)
 GRID_VALUES = (-3.0, -1.5, 0.0, 1.5, 3.0)
+# the flow integrates dense N x N matrices, O(N^3) time: about 1 s at 512,
+# and minutes and gigabytes at the 4096 of FOCK_MAX_CUTOFF
+FLOW_MAX_CUTOFF = 512
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +202,9 @@ def criterion_02_contraction_limit() -> list[CheckRecord]:
     base = family.base
     names = [g.name for g in limit.generators]
 
-    canon = 0.0
-    for i in (1, 2, 3):
-        a, b = names.index(f"X{i}"), names.index(f"P{i}")
-        canon = max(canon, max((abs(t[1]) for t in limit.bracket_terms(a, b)), default=0.0))
+    pairs = [(names.index(f"X{i}"), names.index(f"P{i}")) for i in (1, 2, 3)]
+    # np.max, not a running max(): a NaN coefficient reads NaN, not 0
+    canon = float(np.max([0.0] + [abs(t[1]) for a, b in pairs for t in limit.bracket_terms(a, b)]))
 
     j_idx = [i for i, g in enumerate(limit.generators) if g.role == "rotation"]
     j_diff = 0.0
@@ -548,6 +550,11 @@ def _cutoff(text: str) -> int:
     return _positive_int(text, 2, contraction_lab.FOCK_MAX_CUTOFF)
 
 
+def _flow_cutoff(text: str) -> int:
+    """argparse type: a flow-check cutoff, an integer in [2, FLOW_MAX_CUTOFF]."""
+    return _positive_int(text, 2, FLOW_MAX_CUTOFF)
+
+
 def _positive_rational(text: str) -> Fraction:
     """argparse type: an exact rational > 0, such as 1/10 or 0.25."""
     try:
@@ -866,7 +873,7 @@ def make_parser() -> argparse.ArgumentParser:
     s = sub.add_parser(
         "flow-check", help="ray flow: coefficient vs canonical routes", parents=[shared]
     )
-    s.add_argument("--cutoff", type=_cutoff, default=32)
+    s.add_argument("--cutoff", type=_flow_cutoff, default=32)
     s.add_argument("--t-final", type=_positive_float, default=10.0)
     s.add_argument("--dt", type=_positive_float, default=1e-3)
     s.add_argument("--p", type=_finite_float, default=0.8)
@@ -896,8 +903,9 @@ def main(argv=None) -> int:
             for value in (r.measured, r.predicted, r.tolerance):
                 if not math.isfinite(value):
                     raise ValueError(f"check {r.check_id}: non-finite value {value}")
-    # TruncationGuardError is a ValueError; OverflowError is an ArithmeticError
-    except (ValueError, ArithmeticError) as exc:
+    # TruncationGuardError is a ValueError; OverflowError is an ArithmeticError;
+    # build_fock_space's ladder and Hermiticity guards raise AssertionError
+    except (ValueError, ArithmeticError, AssertionError) as exc:
         records = [CheckRecord("diagnostic", "plumbing", 1.0, 0.0, 0.0)]
         manifest = build_manifest(args.command, parameters, args.seed)
         report = build_report(manifest, records)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 KIND_DIMS = {"phase": 8, "config": 5}
 
@@ -96,8 +95,16 @@ def omega_matrix(omega: np.ndarray) -> np.ndarray:
 
 
 def rotation_from_omega(omega: np.ndarray) -> np.ndarray:
-    """Finite rotation exp(Omega(omega)); proper orthogonal for any omega."""
-    return expm(omega_matrix(omega))
+    """Finite rotation exp(Omega(omega)); proper orthogonal for any omega.
+
+    Rodrigues' formula: Omega^3 = -t^2 Omega with t = |omega|, so
+    exp(Omega) = I + (sin t / t) Omega + ((1 - cos t) / t^2) Omega^2, with
+    (1 - cos t) / t^2 = (sin(t/2) / (t/2))^2 / 2; both quotients are sinc
+    values, so t = 0 needs no branch.
+    """
+    k = omega_matrix(omega)
+    t = math.hypot(*np.asarray(omega, dtype=float).reshape(3))
+    return np.eye(3) + np.sinc(t / np.pi) * k + 0.5 * np.sinc(t / (2.0 * np.pi)) ** 2 * (k @ k)
 
 
 def _check_rotation(rotation: np.ndarray) -> np.ndarray:
@@ -296,19 +303,3 @@ def weyl_compose_formula(w1: WeylLabel, w2: WeylLabel, kind: str = "phase") -> W
     """Closed-form composition of two labels; see :func:`weyl_compose_labels`."""
     p, x, theta = weyl_compose_labels(_rows(w1), _rows(w2), kind)
     return WeylLabel(p[0], x[0], theta[0])
-
-
-def exp_algebra(kind: str, params: AlgebraParams) -> CosetMatrix:
-    """Matrix exponential of an algebra element.
-
-    Without a rotation part the generator matrix is nilpotent (A^2 = 0 for
-    phase, A^3 = 0 for config) and the series is summed exactly; otherwise
-    scaling-and-squaring is used.
-    """
-    a = algebra_matrix(kind, params).entries
-    if np.all(params.omega == 0.0):
-        n = a.shape[0]
-        if kind == "phase":
-            return CosetMatrix(kind, np.eye(n) + a)
-        return CosetMatrix(kind, np.eye(n) + a + 0.5 * (a @ a))
-    return CosetMatrix(kind, expm(a))

@@ -14,11 +14,13 @@ Conventions, fixed once and used everywhere:
 Per mode, everything is derived from one ladder vector sqrt(1..N), the
 superdiagonal of the truncated annihilator.  The coherent coefficients are
 one running product of exp(-|alpha|^2/2) and alpha/sqrt(n).  X and P act on
-states through their two bands, matrix-free (apply_quadrature); sparse
-matrices are formed only where a matrix is itself the object: the bracket
-check (C07), the flow Hamiltonian and the rotation generators j_op.  The
-truncated X is a Jacobi matrix whose spectrum X = V L V^T (one symmetric
-tridiagonal eigensolve per mode dimension, cached) gives every Weyl factor
+states through their two bands, matrix-free (apply_quadrature).  Where an
+operator is itself the object (the bracket check C07, the flow Hamiltonian,
+the rotation generators j_op) it is an OffsetOperator: per offset d between
+occupation tuples, the array of entries <r|A|r + d>, so a product of banded
+operators is a few shifted array products.  The truncated X is a Jacobi
+matrix whose spectrum X = V L V^T (one symmetric eigensolve per mode
+dimension, cached) gives every Weyl factor
 exactly on the truncated space (Golub-Welsch 1969): exp(i a X) =
 V exp(i a L) V^T, and P = D X D^dagger with D = diag(i^n).  Building a
 space and checking its ladder cost O(N).  Weyl factors are applied through
@@ -49,9 +51,6 @@ from types import MappingProxyType
 
 import mpmath
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import expm_multiply
 
 from qclimit.lie_core import _DUAL_PAIR
 
@@ -93,37 +92,45 @@ class FockSpace:
     def dim(self) -> int:
         return self.mode_dim**self.modes
 
-    # -- full-space sparse operators, for where a matrix is itself the object
+    # -- full-space operators, for where an operator is itself the object
 
-    def _lift(self, kind: str, mode: int) -> sp.csr_matrix:
-        """The banded X or P of one mode (1-based), embedded via Kronecker."""
+    def _lift(self, kind: str, mode: int) -> "OffsetOperator":
+        """The banded X or P of one mode (1-based) on the full space."""
         if not 1 <= mode <= self.modes:
             raise ValueError(f"mode {mode} out of range for {self.modes} modes")
-        eye = sp.identity(self.mode_dim, format="csr")
-        band = sp.diags(_quadrature_bands(self.mode_dim)[kind], [-1, 1], format="csr")
-        factors = [band if i == mode else eye for i in range(1, self.modes + 1)]
-        return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors).astype(complex)
+        n = self.mode_dim
+        sub, sup = _quadrature_bands(n)[kind]
+        # <r|A|r - e> = sub[r_mode - 1] and <r|A|r + e> = sup[r_mode], zero past the edge
+        lower, upper = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        lower[1:], upper[:-1] = sub, sup
+        along = [1] * self.modes
+        along[mode - 1] = n
+        grid = (n,) * self.modes
+        e = tuple(int(i == mode) for i in range(1, self.modes + 1))
+        bands = {tuple(-k for k in e): lower, e: upper}
+        return OffsetOperator(grid, {d: np.broadcast_to(b.reshape(along), grid).copy() for d, b in bands.items()})
 
-    def x_op(self, mode: int = 1) -> sp.csr_matrix:
+    def x_op(self, mode: int = 1) -> "OffsetOperator":
         return self._lift("X", mode)
 
-    def p_op(self, mode: int = 1) -> sp.csr_matrix:
+    def p_op(self, mode: int = 1) -> "OffsetOperator":
         return self._lift("P", mode)
 
-    def j_op(self, i: int, j: int) -> sp.csr_matrix:
+    def j_op(self, i: int, j: int) -> "OffsetOperator":
         """Rotation generator J_ij = X_j P_i - X_i P_j (two distinct modes)."""
         if self.modes != 3:
             raise ValueError("rotation generators need modes = 3")
         if i == j:
             raise ValueError("J_ii vanishes identically")
-        return (self.x_op(j) @ self.p_op(i) - self.x_op(i) @ self.p_op(j)).tocsr()
+        return self.x_op(j) @ self.p_op(i) - self.x_op(i) @ self.p_op(j)
 
-    def j_axis_op(self, axis: int) -> sp.csr_matrix:
+    def j_axis_op(self, axis: int) -> "OffsetOperator":
         i, j = _DUAL_PAIR[axis]
         return self.j_op(i, j)
 
-    def identity(self) -> sp.csr_matrix:
-        return sp.identity(self.dim, format="csr", dtype=complex)
+    def identity(self) -> "OffsetOperator":
+        grid = (self.mode_dim,) * self.modes
+        return OffsetOperator(grid, {(0,) * self.modes: np.ones(grid, dtype=complex)})
 
     def occupations(self) -> np.ndarray:
         """Per-mode occupation numbers of every basis state, shape (dim, modes)."""
@@ -132,6 +139,114 @@ class FockSpace:
     def safe_mask(self, margin: int = 2) -> np.ndarray:
         """Basis states keeping `margin` empty top levels in every mode."""
         return (self.occupations() <= self.cutoff - margin).all(axis=1)
+
+
+def _offset_slices(d: tuple, grid: tuple) -> tuple:
+    """(rows, cols): the slices of r and of r + d over the r for which both
+    lie inside the grid."""
+    rows, cols = [], []
+    for k, n in zip(d, grid):
+        lo = max(0, -k)
+        hi = max(lo, min(n, n - k))
+        rows.append(slice(lo, hi))
+        cols.append(slice(lo + k, hi + k))
+    return tuple(rows), tuple(cols)
+
+
+def _shifted(a: np.ndarray, d: tuple) -> np.ndarray:
+    """out[r] = a[r + d], zero where r + d leaves the grid."""
+    out = np.zeros_like(a)
+    rows, cols = _offset_slices(d, a.shape)
+    out[rows] = a[cols]
+    return out
+
+
+class OffsetOperator:
+    """Operator on a truncated Fock space of m modes, n levels each, stored by
+    offset: `bands` maps an offset d = (d1, ..., dm) to the (n,)*m array of
+    the entries <r|A|r + d>, zero where r + d leaves the space.
+
+    A product of two such operators is C[da + db][r] += A[da][r] B[db][r + da];
+    the offsets of A are taken in sorted order, which is the order of the
+    intermediate basis index, so every entry sums its terms as a CSR product
+    does.  Supports `@` (with an operator or a coefficient vector), `+`, `-`,
+    scalar `*` and `/`, and toarray() for the dense matrix.
+    """
+
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    def __init__(self, grid: tuple, bands: dict):
+        self.grid = tuple(grid)
+        self.bands = bands
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.grid)
+
+    def _same_space(self, other: "OffsetOperator") -> None:
+        if self.grid != other.grid:
+            raise ValueError(f"operators live on different spaces: {self.grid} vs {other.grid}")
+
+    def _merge(self, other, op) -> "OffsetOperator":
+        if not isinstance(other, OffsetOperator):
+            return NotImplemented
+        self._same_space(other)
+        bands = dict(self.bands)
+        for d, b in other.bands.items():
+            bands[d] = op(bands[d], b) if d in bands else op(0.0, b)
+        return OffsetOperator(self.grid, bands)
+
+    def __add__(self, other):
+        return self._merge(other, np.add)
+
+    def __sub__(self, other):
+        return self._merge(other, np.subtract)
+
+    def __mul__(self, scalar):
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return OffsetOperator(self.grid, {d: scalar * b for d, b in self.bands.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return OffsetOperator(self.grid, {d: b / scalar for d, b in self.bands.items()})
+
+    def __matmul__(self, other):
+        if isinstance(other, OffsetOperator):
+            self._same_space(other)
+            bands = {}
+            for da in sorted(self.bands):
+                a = self.bands[da]
+                for db, b in other.bands.items():
+                    d = tuple(i + j for i, j in zip(da, db))
+                    term = a * _shifted(b, da)
+                    bands[d] = bands[d] + term if d in bands else term
+            return OffsetOperator(self.grid, bands)
+        v = np.asarray(other)
+        if v.shape != (self.dim,):
+            raise ValueError(f"expected an operator or a vector of length {self.dim}, got shape {v.shape}")
+        v = v.reshape(self.grid)
+        out = np.zeros(self.grid, dtype=np.result_type(v, *self.bands.values()))
+        for d in sorted(self.bands):
+            out += self.bands[d] * _shifted(v, d)
+        return out.reshape(-1)
+
+    def norm1(self) -> float:
+        """Largest column sum of |entries|, the matrix 1-norm."""
+        # column c collects <c - d|A|c> from every offset d
+        sums = sum(_shifted(np.abs(b), tuple(-k for k in d)) for d, b in self.bands.items())
+        return float(np.max(sums, initial=0.0))
+
+    def toarray(self) -> np.ndarray:
+        index = np.arange(self.dim).reshape(self.grid)
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*self.bands.values()))
+        for d, b in self.bands.items():
+            rows, cols = _offset_slices(d, self.grid)
+            out[index[rows].ravel(), index[cols].ravel()] = b[rows].ravel()
+        return out
 
 
 def _ladder(mode_dim: int) -> np.ndarray:
@@ -154,7 +269,8 @@ def _quadrature_bands(mode_dim: int) -> MappingProxyType:
 def _x_spectrum(mode_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues L and orthonormal real eigenvectors V of the truncated X,
     X = V diag(L) V^T, as read-only arrays."""
-    lam, vec = eigh_tridiagonal(np.zeros(mode_dim), _ladder(mode_dim) / SQRT2)
+    s = _ladder(mode_dim) / SQRT2
+    lam, vec = np.linalg.eigh(np.diag(s, -1) + np.diag(s, 1))
     lam.flags.writeable = False
     vec.flags.writeable = False
     return lam, vec
@@ -556,6 +672,35 @@ def weyl_unitary(space: FockSpace, p, x, theta: float = 0.0, form: str = "factor
     return WeylOperator(space, np.exp(1j * float(theta)), tuple(steps))
 
 
+# theta_m of Al-Mohy & Higham (2011), Table 3.1: the largest 1-norm for which
+# the degree-m Taylor polynomial of exp meets the unit roundoff 2^-53
+_TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+
+
+def _expm_apply(op: OffsetOperator, v: np.ndarray) -> np.ndarray:
+    """exp(op) v without forming exp(op) (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 2011): s steps of the degree-m Taylor series of exp(op/s), with
+    s = ceil(|op|_1 / theta_m) and m chosen to make m s least.  A step stops
+    early once two successive terms are negligible against the sum."""
+    norm = op.norm1()
+    if norm == 0.0:
+        return v
+    m, s = min(((m, math.ceil(norm / theta)) for m, theta in _TAYLOR_THETA.items()), key=lambda ms: ms[0] * ms[1])
+    tol = 2.0**-53
+    out = v
+    for _ in range(s):
+        term = out
+        c1 = np.abs(term).max()
+        for j in range(1, m + 1):
+            term = (op @ term) / (s * j)
+            c2 = np.abs(term).max()
+            out = out + term
+            if c1 + c2 <= tol * np.abs(out).max():
+                break
+            c1 = c2
+    return out
+
+
 def rotation_unitary_apply(space: FockSpace, omega, state: StateVector) -> StateVector:
     """Apply exp(-i sum_a omega_a J_axis_a) to a state.
 
@@ -570,7 +715,7 @@ def rotation_unitary_apply(space: FockSpace, omega, state: StateVector) -> State
             gen = term if gen is None else gen + term
     if gen is None:
         return state
-    out = expm_multiply(-1j * gen.tocsc(), state.coefficients)
+    out = _expm_apply(-1j * gen, np.asarray(state.coefficients, dtype=complex))
     return StateVector("fock", space, out)
 
 
@@ -587,6 +732,19 @@ class CommutatorCheckReport:
     @property
     def clean(self) -> bool:
         return self.max_deviation < 1e-10
+
+
+def _safe_max(op: OffsetOperator, top: int) -> float:
+    """Largest |<r|A|r + d>| with every occupation of r and r + d at most
+    `top`; 0.0 for no such entry, NaN if any is NaN."""
+    safe = (top + 1,) * len(op.grid)
+    worst = [0.0]
+    for d, b in op.bands.items():
+        rows, _ = _offset_slices(d, safe)
+        block = b[rows]
+        if block.size:
+            worst.append(np.abs(block).max())
+    return float(np.max(worst))
 
 
 def operator_commutator_check(space: FockSpace, table=None) -> CommutatorCheckReport:
@@ -607,7 +765,7 @@ def operator_commutator_check(space: FockSpace, table=None) -> CommutatorCheckRe
         ops[f"P{i}"] = space.p_op(i)
     ops["I"] = space.identity()
 
-    keep = np.flatnonzero(space.safe_mask(margin=2))
+    top = space.cutoff - 2
     names = [g.name for g in table.generators]
     detail = {}
     for ia in range(len(names)):
@@ -616,9 +774,7 @@ def operator_commutator_check(space: FockSpace, table=None) -> CommutatorCheckRe
             delta = a @ b - b @ a
             for tgt, coeff, _ in table.entries.get((ia, ib), ()):
                 delta = delta - 1j * coeff * ops[names[tgt]]
-            # restricted to the safe subspace while sparse; max() counts the
-            # implicit zeros and, like np.max, propagates NaN
-            detail[f"{names[ia]},{names[ib]}"] = float(abs(delta[keep][:, keep]).max())
+            detail[f"{names[ia]},{names[ib]}"] = _safe_max(delta, top)
     return CommutatorCheckReport(float(np.max(list(detail.values()))), detail)
 
 
@@ -773,7 +929,7 @@ def projective_flow_check(
     steps = int(round(t_final / dt))
     if steps < 1:
         raise ValueError(f"t_final={t_final} is less than one step of dt={dt}")
-    h = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
+    h = hamiltonian.toarray() if hasattr(hamiltonian, "toarray") else np.asarray(hamiltonian)
     if not np.abs(h - h.conj().T).max() <= 1e-12:
         raise ValueError("hamiltonian must be Hermitian")
     c0 = initial.coefficients.astype(complex)

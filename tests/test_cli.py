@@ -1,5 +1,9 @@
+import dataclasses
 import json
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,9 +262,20 @@ def test_cutoff_out_of_range_rejected_at_parser(tmp_path, capsys, command, cutof
         cli.main(["--out", str(tmp_path), command, "--cutoff", cutoff])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument --cutoff: {cutoff} is not an integer in [2, 4096]" in err
+    high = {"coherent-overlap": 4096, "flow-check": 512}[command]
+    assert f"argument --cutoff: {cutoff} is not an integer in [2, {high}]" in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_flow_check_cutoff_has_its_own_bound(capsys):
+    parser = cli.make_parser()
+    assert parser.parse_args(["flow-check", "--cutoff", "512"]).cutoff == 512
+    assert parser.parse_args(["coherent-overlap", "--cutoff", "4096"]).cutoff == 4096
+    for cutoff in ("513", "4096"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["flow-check", "--cutoff", cutoff])
+        assert f"argument --cutoff: {cutoff} is not an integer in [2, 512]" in capsys.readouterr().err
 
 
 def test_all_runs_one_decay_sweep(tmp_path, monkeypatch):
@@ -359,6 +374,52 @@ def test_arithmetic_failures_write_a_diagnostic_report(tmp_path, capsys, argv, e
     assert error in report["error"]
     assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_fock_space_guard_failure_writes_a_diagnostic_report(tmp_path, capsys, monkeypatch):
+    ladder = cli.hilbert._ladder
+    monkeypatch.setattr(cli.hilbert, "_ladder", lambda mode_dim: ladder(mode_dim) * (1.0 + 1e-7))
+    code, report = run_cli(tmp_path, "all")
+    assert code == 1
+    assert (tmp_path / "all_report.json").is_file()
+    assert report["error"].startswith("AssertionError: ladder commutator defect")
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_c02_nan_bracket_term_is_not_swallowed(monkeypatch):
+    limit_algebra = cli.lie_core.limit_algebra
+
+    def poisoned(family):
+        table = limit_algebra(family)
+        pair = (table.index("X2"), table.index("P2"))
+        return dataclasses.replace(table, entries={**table.entries, pair: ((table.index("I"), math.nan, Fraction(0)),)})
+
+    monkeypatch.setattr(cli.lie_core, "limit_algebra", poisoned)
+    records = {r.check_id: r for r in cli.criterion_02_contraction_limit()}
+    assert math.isnan(records["C02.canonical-pairs-commute"].measured)
+    assert not records["C02.canonical-pairs-commute"].passed
+
+
+NO_SCIPY_PROBE = """
+import json, sys
+import qclimit.cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+after_import = loaded()
+code = qclimit.cli.main(["--out", sys.argv[1], "--seed", "7", "all"])
+print(json.dumps({"after_import": after_import, "code": code, "after_all": loaded()}))
+"""
+
+
+def test_import_and_all_load_no_scipy(tmp_path):
+    """scipy is a test-only dependency: a fresh interpreter imports qclimit.cli
+    and runs `all` without loading it."""
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path)], capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    probe = json.loads(out.stdout.splitlines()[-1])
+    assert probe == {"after_import": [], "code": 0, "after_all": []}
 
 
 @pytest.mark.parametrize(

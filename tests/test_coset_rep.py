@@ -12,7 +12,6 @@ from qclimit.coset_rep import (
     algebra_matrix,
     compose,
     contracted_action,
-    exp_algebra,
     extract_weyl_label,
     group_element,
     group_elements,
@@ -43,6 +42,15 @@ def test_rotation_about_axis_three():
         ]
     )
     np.testing.assert_allclose(r, expected, atol=1e-14)
+
+
+def test_rotation_from_omega_matches_expm():
+    """Rodrigues' closed form against scipy's scaling-and-squaring expm (test-local reference)."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(11)
+    for omega in [np.zeros(3), np.array([1e-9, 0.0, 0.0]), *rng.uniform(-3, 3, size=(20, 3))]:
+        np.testing.assert_allclose(rotation_from_omega(omega), expm(omega_matrix(omega)), rtol=0, atol=1e-13)
 
 
 def test_rotation_is_special_orthogonal():
@@ -227,64 +235,15 @@ def test_extract_rejects_rotated_element():
         extract_weyl_label(g)
 
 
-def test_exp_algebra_pure_weyl_phase_is_exact():
-    params = AlgebraParams(pbar=[0.7, -0.2, 0.1], xbar=[1.5, 0.0, -0.3], thetabar=0.4)
-    m = exp_algebra("phase", params)
-    expected = group_element("phase", WeylLabel(params.pbar, params.xbar, params.thetabar))
-    np.testing.assert_array_equal(m.entries, expected.entries)
-
-
-def test_exp_algebra_phase_nilpotent_order_two():
+def test_algebra_matrix_phase_nilpotent_order_two():
     a = algebra_matrix("phase", AlgebraParams(pbar=[1, 2, 3], xbar=[4, 5, 6], thetabar=7)).entries
     np.testing.assert_array_equal(a @ a, 0.0)
 
 
-def test_exp_algebra_config_nilpotent_order_three():
+def test_algebra_matrix_config_nilpotent_order_three():
     a = algebra_matrix("config", AlgebraParams(pbar=[1, 0, 0], xbar=[1, 0, 0], thetabar=0)).entries
     assert np.abs(a @ a).max() > 0
     np.testing.assert_array_equal(a @ a @ a, 0.0)
-
-
-def test_exp_algebra_config_labels():
-    # without a momentum parameter the label is read off directly
-    params = AlgebraParams(xbar=[1.0, 2.0, 3.0], thetabar=0.5)
-    label = extract_weyl_label(exp_algebra("config", params))
-    np.testing.assert_array_equal(label.x, params.xbar)
-    assert label.theta == 0.5
-    # with one, the exponential picks up half the cross term
-    params = AlgebraParams(pbar=[2.0, 0.0, 0.0], xbar=[3.0, 0.0, 0.0], thetabar=0.0)
-    label = extract_weyl_label(exp_algebra("config", params))
-    assert label.theta == pytest.approx(0.5 * 2.0 * 3.0, abs=1e-14)
-
-
-def test_exp_algebra_zero_is_identity():
-    for kind in ("phase", "config"):
-        m = exp_algebra(kind, AlgebraParams())
-        np.testing.assert_array_equal(m.entries, np.eye(m.dim))
-
-
-def test_exp_algebra_inverse_pairs():
-    rng = np.random.default_rng(5)
-    for kind in ("phase", "config"):
-        for _ in range(10):
-            params = AlgebraParams(
-                omega=rng.uniform(-1, 1, 3),
-                pbar=rng.uniform(-1, 1, 3),
-                xbar=rng.uniform(-1, 1, 3),
-                thetabar=rng.uniform(-1, 1),
-            )
-            neg = AlgebraParams(-params.omega, -params.pbar, -params.xbar, -params.thetabar)
-            prod = exp_algebra(kind, params).entries @ exp_algebra(kind, neg).entries
-            np.testing.assert_allclose(prod, np.eye(prod.shape[0]), atol=1e-12)
-
-
-def test_exp_algebra_rotation_only_matches_group_element():
-    omega = [0.2, -0.5, 1.1]
-    m = exp_algebra("phase", AlgebraParams(omega=omega))
-    expected = group_element(
-        "phase", WeylLabel(np.zeros(3), np.zeros(3), 0.0), rotation_from_omega(omega)
-    )
-    np.testing.assert_allclose(m.entries, expected.entries, atol=1e-13)
 
 
 def test_contracted_action_k1_matches_infinitesimal():

@@ -1,11 +1,12 @@
 import itertools
 import math
+from functools import reduce
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from qclimit.coset_rep import WeylLabel, rotation_from_omega, weyl_compose_formula
 from qclimit.hilbert import (
@@ -34,6 +35,30 @@ from qclimit.hilbert import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _csr_quadrature(space, kind, mode):
+    """Test-local reference: X or P of one mode as a scipy CSR matrix,
+    Kronecker-built from the bands."""
+    from qclimit.hilbert import _quadrature_bands
+
+    eye = sp.identity(space.mode_dim, format="csr")
+    band = sp.diags(_quadrature_bands(space.mode_dim)[kind], [-1, 1], format="csr")
+    factors = [band if i == mode else eye for i in range(1, space.modes + 1)]
+    return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors).astype(complex)
+
+
+def _csr_generators(space):
+    """Test-local reference: the C07 generators of a 3-mode space as CSR
+    matrices, with J_ij = X_j P_i - X_i P_j."""
+    from qclimit.lie_core import _DUAL_PAIR
+
+    ops = {f"{kind}{i}": _csr_quadrature(space, kind, i) for kind in "XP" for i in (1, 2, 3)}
+    for axis, name in ((1, "J23"), (2, "J31"), (3, "J12")):
+        i, j = _DUAL_PAIR[axis]
+        ops[name] = (ops[f"X{j}"] @ ops[f"P{i}"] - ops[f"X{i}"] @ ops[f"P{j}"]).tocsr()
+    ops["I"] = sp.identity(space.dim, format="csr", dtype=complex)
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +503,8 @@ def test_band_quadratures_equal_the_sparse_matvec_bit_for_bit(modes, cutoff):
     for axis in range(1, modes + 1):
         for _ in range(3):
             c = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-            assert np.array_equal(apply_quadrature(space, "X", axis, c), space.x_op(axis) @ c)
-            assert np.array_equal(apply_quadrature(space, "P", axis, c), space.p_op(axis) @ c)
+            for kind in ("X", "P"):
+                assert np.array_equal(apply_quadrature(space, kind, axis, c), _csr_quadrature(space, kind, axis) @ c)
 
 
 def test_apply_quadrature_rejects_unknown_kind_and_mode():
@@ -567,8 +592,8 @@ def _expm_weyl(space, p, x, theta, form):
     """Test-local reference: scipy expm of the dense one-mode quadratures,
     one factor per mode, Kronecker-multiplied."""
     mode = build_fock_space(1, space.cutoff)
-    xm = mode.x_op().toarray()
-    pm = mode.p_op().toarray()
+    xm = _csr_quadrature(mode, "X", 1).toarray()
+    pm = _csr_quadrature(mode, "P", 1).toarray()
     out = np.exp(1j * theta) * np.ones((1, 1))
     for pi, xi in zip(np.atleast_1d(p), np.atleast_1d(x)):
         if form == "factored":
@@ -659,6 +684,18 @@ def test_cached_x_spectrum_is_read_only():
     assert np.abs(vec @ np.diag(lam) @ vec.T - x).max() < 1e-13
 
 
+@pytest.mark.parametrize("mode_dim", [21, 65, 513])
+def test_x_spectrum_matches_the_tridiagonal_eigensolver(mode_dim):
+    """The cached dense eigh against scipy's eigh_tridiagonal (test-local reference)."""
+    from qclimit.hilbert import _ladder, _x_spectrum
+
+    lam, vec = _x_spectrum(mode_dim)
+    want_lam, want_vec = eigh_tridiagonal(np.zeros(mode_dim), _ladder(mode_dim) / SQRT2)
+    assert np.abs(lam - want_lam).max() <= 1e-12
+    # eigenvectors agree up to the sign of each column
+    assert np.abs(np.abs(np.sum(vec * want_vec, axis=0)) - 1.0).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # rotations
 # ---------------------------------------------------------------------------
@@ -685,6 +722,19 @@ def test_rotation_maps_coherent_to_rotated_labels():
         got = rotation_unitary_apply(space, omega, coherent_state(space, p, x))
         want = coherent_state(space, rot @ p, rot @ x)
         assert np.abs(got.coefficients - want.coefficients).max() < 1e-7
+
+
+def test_rotation_apply_matches_expm():
+    """The Taylor-step apply against scipy's expm of the dense CSR-built generator."""
+    space = build_fock_space(3, 6)
+    ops = _csr_generators(space)
+    rng = np.random.default_rng(23)
+    for omega in ([0.0, 0.0, 0.9], rng.uniform(-2.0, 2.0, size=3)):
+        gen = omega[0] * ops["J23"] + omega[1] * ops["J31"] + omega[2] * ops["J12"]
+        c = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        got = rotation_unitary_apply(space, omega, StateVector("fock", space, c)).coefficients
+        want = expm(-1j * gen.toarray()) @ c
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(c).max()
 
 
 def test_rotation_preserves_overlaps():
@@ -717,10 +767,7 @@ def test_operator_bracket_check_matches_dense_reference():
 
     space = build_fock_space(3, 6)
     table = build_standard_algebra("HR3")
-    ops = {"J23": space.j_axis_op(1), "J31": space.j_axis_op(2), "J12": space.j_axis_op(3), "I": space.identity()}
-    for i in (1, 2, 3):
-        ops[f"X{i}"] = space.x_op(i)
-        ops[f"P{i}"] = space.p_op(i)
+    ops = _csr_generators(space)
     mask = space.safe_mask(margin=2)
     names = [g.name for g in table.generators]
     want = {}
@@ -735,6 +782,28 @@ def test_operator_bracket_check_matches_dense_reference():
     for key, value in want.items():
         assert report.per_bracket[key] == value, key
     assert report.max_deviation == max(want.values())
+
+
+def test_offset_operators_equal_the_csr_reference():
+    space = build_fock_space(3, 4)
+    ref = _csr_generators(space)
+    ops = {"J23": space.j_axis_op(1), "J31": space.j_axis_op(2), "J12": space.j_axis_op(3), "I": space.identity()}
+    for i in (1, 2, 3):
+        ops[f"X{i}"] = space.x_op(i)
+        ops[f"P{i}"] = space.p_op(i)
+    for name, op in ops.items():
+        assert np.array_equal(op.toarray(), ref[name].toarray()), name
+    rng = np.random.default_rng(4)
+    c = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    for a, b in [("J23", "X2"), ("P1", "J12"), ("J31", "J23")]:
+        assert np.abs((ops[a] @ ops[b]).toarray() - (ref[a] @ ref[b]).toarray()).max() <= 1e-14
+        assert np.abs(ops[a] @ c - ref[a] @ c).max() <= 1e-13
+    mixed = np.float64(0.5) * ops["X1"] - 2j * ops["P3"] + ops["J12"] / 4.0
+    want = 0.5 * ref["X1"] - 2j * ref["P3"] + ref["J12"] / 4.0
+    assert np.array_equal(mixed.toarray(), want.toarray())
+    assert ops["J23"].norm1() == pytest.approx(np.abs(ref["J23"].toarray()).sum(axis=0).max(), rel=1e-14)
+    with pytest.raises(ValueError, match="different spaces"):
+        ops["X1"] + build_fock_space(3, 5).x_op(1)
 
 
 def test_operator_bracket_check_propagates_nan():
