@@ -6,6 +6,13 @@ tested ("plumbing" for pure artifact checks), the measured and predicted
 values, and the absolute error against a fixed tolerance.  Reports are
 serialized with 17-significant-digit floats and a stable field order, so a
 rerun with the same seed is byte-identical apart from the manifest timestamp.
+
+Each law is computed by one check function, which its battery criterion and
+its subcommand both call with their own check-ID prefix: the bracket axioms
+(C01, algebra-verify), the Weyl group law (C03, coset-compose), the coherent
+spot overlap (C04, coherent-overlap), the contraction decay (C08,
+contract-sweep), the canonical star commutator (C10, star-bracket) and the
+ray flow (C11, flow-check).
 """
 
 from __future__ import annotations
@@ -31,6 +38,12 @@ GRID_VALUES = (-3.0, -1.5, 0.0, 1.5, 3.0)
 # the flow integrates dense N x N matrices, O(N^3) time: about 1 s at 512,
 # and minutes and gigabytes at the 4096 of FOCK_MAX_CUTOFF
 FLOW_MAX_CUTOFF = 512
+# group_law_check keeps about 3 KB of 8 x 8 stacks per sample: 10^7 samples
+# would need about 30 GB
+MAX_SAMPLES = 100_000
+# the grid backend's time grows with the point count: about 2 s at 65536 on a
+# 2-CPU machine, so 10^8 points would run for about an hour
+MAX_GRID_POINTS = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +194,21 @@ def overlap_3d_max_rel_err(rng, n_pairs: int = 40, cutoff: int = 16) -> float:
 # ---------------------------------------------------------------------------
 
 
+def algebra_axiom_check(table, eps, prefix: str, tolerance: float = 1e-12) -> list[CheckRecord]:
+    """Worst bracket antisymmetry (exact) and Jacobi defect of a structure
+    constant table over the eps samples, with check IDs prefixed by `prefix`."""
+    ver = lie_core.verify_algebra(table, eps)
+    return [
+        CheckRecord(f"{prefix}antisymmetry", "bracket-antisymmetry", ver.antisymmetry_max, 0.0, 0.0),
+        CheckRecord(f"{prefix}jacobi", "jacobi-identity", ver.jacobi_max, 0.0, tolerance),
+    ]
+
+
 def criterion_01_algebra_axioms() -> list[CheckRecord]:
     records = []
     for name in ("HR3", "HR3_with_H"):
         table = lie_core.build_standard_algebra(name)
-        ver = lie_core.verify_algebra(table, ACCEPT_EPS)
-        tag = name.lower()
-        records.append(
-            CheckRecord(f"C01.{tag}-antisymmetry", "bracket-antisymmetry", ver.antisymmetry_max, 0.0, 0.0)
-        )
-        records.append(
-            CheckRecord(f"C01.{tag}-jacobi", "jacobi-identity", ver.jacobi_max, 0.0, 1e-12)
-        )
+        records.extend(algebra_axiom_check(table, ACCEPT_EPS, f"C01.{name.lower()}-"))
     return records
 
 
@@ -248,19 +264,24 @@ def criterion_03_group_law(rng) -> list[CheckRecord]:
     return group_law_check(rng, "phase", 1000, "C03.group-law")
 
 
-def criterion_04_overlaps(rng) -> list[CheckRecord]:
-    grid_err = overlap_grid_max_rel_err(cutoff=64)
-    three_err = overlap_3d_max_rel_err(rng, n_pairs=40, cutoff=16)
-    space = hilbert.build_fock_space(1, 32)
+def overlap_spot_check(cutoff: int, check_id: str) -> list[CheckRecord]:
+    """|<(0, 0)|(0, 2)>| = exp(-1) on the one-mode Fock space at `cutoff`."""
+    space = hilbert.build_fock_space(1, cutoff)
     spot = abs(
         hilbert.overlap(
             hilbert.coherent_state(space, 0.0, 0.0), hilbert.coherent_state(space, 0.0, 2.0)
         )
     )
+    return [CheckRecord(check_id, "overlap-closed-form", spot, math.exp(-1.0), 1e-12)]
+
+
+def criterion_04_overlaps(rng) -> list[CheckRecord]:
+    grid_err = overlap_grid_max_rel_err(cutoff=64)
+    three_err = overlap_3d_max_rel_err(rng, n_pairs=40, cutoff=16)
     return [
         CheckRecord("C04.overlap-grid-1d", "overlap-closed-form", grid_err, 0.0, 1e-8),
         CheckRecord("C04.overlap-3d", "overlap-closed-form", three_err, 0.0, 1e-6),
-        CheckRecord("C04.overlap-spot", "overlap-closed-form", spot, math.exp(-1.0), 1e-12),
+        *overlap_spot_check(32, "C04.overlap-spot"),
     ]
 
 
@@ -314,20 +335,35 @@ def criterion_07_operator_realization() -> list[CheckRecord]:
     ]
 
 
+def decay_law_check(records, pair, prefix: str) -> list[CheckRecord]:
+    """The contracted overlap decay of one label pair from its sweep records.
+
+    The closed-form maximum always; the Fock maximum only when the sweep has
+    a Fock record at k <= 4; and the log-slope against k^2, predicted
+    -d^2/4 for label distance d, only when the sweep has at least two k
+    values.  The slope is fitted on the Fock route when the sweep has Fock
+    records, and on the closed form otherwise.
+    """
+    law = "contracted-overlap-decay"
+    closed_err = _worst([r.abs_err for r in records if r.backend == "closed_form"])
+    checks = [CheckRecord(f"{prefix}closed-form-decay", law, closed_err, 0.0, 1e-12)]
+    fock_err = [r.abs_err for r in records if r.backend == "fock" and r.k <= 4.0]
+    if fock_err:
+        checks.append(CheckRecord(f"{prefix}fock-decay", law, _worst(fock_err), 0.0, 1e-4))
+    if len({r.k for r in records}) >= 2:
+        backend = "fock" if any(r.backend == "fock" for r in records) else "closed_form"
+        slope = contraction_lab.decay_slope(records, 0, backend=backend)
+        d2 = (pair[0][0] - pair[1][0]) ** 2 + (pair[0][1] - pair[1][1]) ** 2
+        checks.append(CheckRecord(f"{prefix}decay-slope", law, slope, -0.25 * d2, 0.01 * 0.25 * d2))
+    return checks
+
+
 def criterion_08_contraction_sweep() -> tuple:
     """The C08 checks and the decay records they read, which `all` writes as CSV."""
-    config = contraction_lab.ContractionRunConfig(
-        k_values=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0), pairs=(contraction_lab.canonical_pair(),)
-    )
+    pair = contraction_lab.canonical_pair()
+    config = contraction_lab.ContractionRunConfig(k_values=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0), pairs=(pair,))
     records = contraction_lab.overlap_decay_sweep(config)
-    closed_err = _worst([r.abs_err for r in records if r.backend == "closed_form"])
-    fock_err = _worst([r.abs_err for r in records if r.backend == "fock" and r.k <= 4.0])
-    slope = contraction_lab.decay_slope(records, 0, backend="fock")
-    return [
-        CheckRecord("C08.closed-form-decay", "contracted-overlap-decay", closed_err, 0.0, 1e-12),
-        CheckRecord("C08.fock-decay", "contracted-overlap-decay", fock_err, 0.0, 1e-4),
-        CheckRecord("C08.decay-slope", "contracted-overlap-decay", slope, -0.25, 0.0025),
-    ], records
+    return decay_law_check(records, pair, "C08."), records
 
 
 def criterion_09_eigenvalue_emergence() -> list[CheckRecord]:
@@ -357,10 +393,17 @@ def criterion_09_eigenvalue_emergence() -> list[CheckRecord]:
     ]
 
 
+def star_commutator_check(check_id: str) -> list[CheckRecord]:
+    """x * (p * m) - p * (x * m) == i hbar m, exactly, for every 1D basis
+    monomial m up to degree 4."""
+    result = star_product.canonical_commutator_check(1, 4)
+    defect = 0.0 if result["exact"] else 1.0
+    return [CheckRecord(check_id, "canonical-star-commutator", defect, 0.0, 0.0)]
+
+
 def criterion_10_star_algebra(rng) -> list[CheckRecord]:
     x = star_product.PhasePolynomial.variable(1, "x")
     p = star_product.PhasePolynomial.variable(1, "p")
-    hbar = star_product.PhasePolynomial.variable(1, "hbar")
 
     def random_poly():
         nums = {}
@@ -389,9 +432,6 @@ def criterion_10_star_algebra(rng) -> list[CheckRecord]:
         if not cyc.is_zero:
             defects += 1
 
-    comm = star_product.star(x, p) - star_product.star(p, x)
-    canonical = 0.0 if comm == hbar.scale(star_product.CRat(im=Fraction(1))) else 1.0
-
     sweep = star_product.classical_limit_sweep(x * x * x, p * p * p)
     flow = star_product.harmonic_evolution_check()
     flow_defect = 0.0 if (
@@ -399,7 +439,7 @@ def criterion_10_star_algebra(rng) -> list[CheckRecord]:
     ) else 1.0
     return [
         CheckRecord("C10.associativity-jacobi", "star-associativity", float(defects), 0.0, 0.0),
-        CheckRecord("C10.canonical-commutator", "canonical-star-commutator", canonical, 0.0, 0.0),
+        *star_commutator_check("C10.canonical-commutator"),
         CheckRecord("C10.classical-slope", "bracket-classical-limit", sweep["slope"], 2.0, 0.05),
         CheckRecord("C10.quadratic-flow-exact", "harmonic-star-flow", flow_defect, 0.0, 0.0),
         CheckRecord(
@@ -492,89 +532,51 @@ def battery_by_criterion(records) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _checked_float_list(text: str, ok, what: str) -> tuple:
-    """Comma-separated numbers, each passing ok, or an argparse error naming what they must be."""
-    try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
-    for v in values:
-        if not ok(v):
-            raise argparse.ArgumentTypeError(f"{v:g} is not {what}")
-    return values
+def _bounded(convert=float, low=None, high=None, *, positive=False, many=False):
+    """argparse type factory: text -> convert(text), a float, int or Fraction,
+    or with `many` a tuple of floats from comma-separated text.
+
+    A value must be finite (floats), > 0 when `positive`, and in [low, high]
+    where those are given; otherwise argparse prints "<value> is not <what>",
+    with ints and rationals shown by str and floats by :g.  A scalar float
+    is checked finite before its bounds, so inf reads "is not a finite
+    value"; a list entry is checked for both at once.
+    """
+    if convert is int:
+        what = f"an integer >= {low}" if high is None else f"an integer in [{low}, {high}]"
+    elif positive:
+        what = "positive" if convert is Fraction else "a finite positive value"
+    else:
+        what = "a finite value" if low is None else f"a finite value >= {low:g}"
+
+    def parse(text: str):
+        try:
+            values = tuple(convert(v) for v in (text.split(",") if many else [text]))
+        except (ValueError, ZeroDivisionError):
+            nouns = {float: "a number", int: "an integer", Fraction: "an exact finite rational"}
+            noun = "a comma-separated list of numbers" if many else nouns[convert]
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+        for v in values:
+            shown = f"{v:g}" if convert is float else str(v)
+            if convert is float and not many and not math.isfinite(v):
+                raise argparse.ArgumentTypeError(f"{shown} is not a finite value")
+            in_bounds = (not positive or v > 0) and (low is None or v >= low) and (high is None or v <= high)
+            if not (in_bounds and (convert is not float or math.isfinite(v))):
+                raise argparse.ArgumentTypeError(f"{shown} is not {what}")
+        return values if many else values[0]
+
+    return parse
 
 
-def _positive_float_list(text: str) -> tuple:
-    """argparse type: comma-separated finite values > 0."""
-    return _checked_float_list(text, lambda v: 0.0 < v < math.inf, "a finite positive value")
-
-
-def _nonnegative_float_list(text: str) -> tuple:
-    """argparse type: comma-separated finite values >= 0."""
-    return _checked_float_list(text, lambda v: 0.0 <= v < math.inf, "a finite value >= 0")
-
-
-def _finite_float(text: str) -> float:
-    """argparse type: a finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{value:g} is not a finite value")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{value:g} is not a finite positive value")
-    return value
-
-
-def _positive_int(text: str, low: int = 1, high: int | None = None) -> int:
-    """argparse type: an integer >= low (default 1), and <= high when given."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise argparse.ArgumentTypeError(f"{value} is not an integer {bound}")
-    return value
-
-
-def _cutoff(text: str) -> int:
-    """argparse type: a Fock cutoff, an integer in [2, FOCK_MAX_CUTOFF]."""
-    return _positive_int(text, 2, contraction_lab.FOCK_MAX_CUTOFF)
-
-
-def _flow_cutoff(text: str) -> int:
-    """argparse type: a flow-check cutoff, an integer in [2, FLOW_MAX_CUTOFF]."""
-    return _positive_int(text, 2, FLOW_MAX_CUTOFF)
-
-
-def _positive_rational(text: str) -> Fraction:
-    """argparse type: an exact rational > 0, such as 1/10 or 0.25."""
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an exact finite rational") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{value} is not positive")
-    return value
+_finite_float = _bounded()
 
 
 def cmd_algebra_verify(args) -> list[CheckRecord]:
     table = lie_core.build_standard_algebra(args.builtin)
-    ver = lie_core.verify_algebra(table, args.eps or ACCEPT_EPS)
+    records = algebra_axiom_check(table, args.eps or ACCEPT_EPS, "", args.tolerance or 1e-12)
     sym = lie_core.verify_algebra_symbolic(table)
-    return [
-        CheckRecord("antisymmetry", "bracket-antisymmetry", ver.antisymmetry_max, 0.0, 0.0),
-        CheckRecord("jacobi", "jacobi-identity", ver.jacobi_max, 0.0, args.tolerance or 1e-12),
-        CheckRecord("jacobi-per-power", "jacobi-identity", sym.jacobi_max, 0.0, 0.0),
-    ]
+    records.append(CheckRecord("jacobi-per-power", "jacobi-identity", sym.jacobi_max, 0.0, 0.0))
+    return records
 
 
 def cmd_algebra_contract(args) -> list[CheckRecord]:
@@ -610,71 +612,39 @@ def cmd_coset_compose(args) -> list[CheckRecord]:
     return records
 
 
+def _overlap_errors(labels, state, space) -> list[float]:
+    """|<state(space, p1, x1)|state(space, p2, x2)> - closed form| for each
+    1D label row (p1, x1, p2, x2).  The closed forms are one broadcast call;
+    tolist() makes them Python complexes, so each error takes Python's abs."""
+    p1, x1, p2, x2 = labels.T[:, :, None]
+    want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0).tolist()
+    return [
+        abs(hilbert.overlap(state(space, a, b), state(space, c, d)) - w) for (a, b, c, d), w in zip(labels, want)
+    ]
+
+
 def cmd_coherent_overlap(args) -> list[CheckRecord]:
     rng = np.random.default_rng(args.seed)
+    law = "overlap-closed-form"
+    records = overlap_spot_check(args.cutoff, "spot-value")
     space = hilbert.build_fock_space(1, args.cutoff)
-    spot = abs(
-        hilbert.overlap(
-            hilbert.coherent_state(space, 0.0, 0.0), hilbert.coherent_state(space, 0.0, 2.0)
-        )
-    )
-    records = [CheckRecord("spot-value", "overlap-closed-form", spot, math.exp(-1.0), 1e-12)]
     if args.backend == "fock":
         corner = hilbert.fock_overlap_hp(3.0, 3.0, 0.0, -3.0, -3.0, 0.0, cutoff=args.cutoff)
         corner_want = hilbert.coherent_overlap_formula(3.0, 3.0, 0.0, -3.0, -3.0, 0.0)
-        records.append(
-            CheckRecord(
-                "far-corner-relative",
-                "overlap-closed-form",
-                abs(corner - corner_want) / abs(corner_want),
-                0.0,
-                1e-8,
-            )
-        )
-        errors = []
-        for _ in range(50):
-            p1, x1, p2, x2 = rng.uniform(-2, 2, size=4)
-            got = hilbert.overlap(
-                hilbert.coherent_state(space, p1, x1), hilbert.coherent_state(space, p2, x2)
-            )
-            want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
-            errors.append(abs(got - want))
-        records.append(CheckRecord("moderate-labels", "overlap-closed-form", _worst(errors), 0.0, 1e-10))
+        corner_err = abs(corner - corner_want) / abs(corner_want)
+        records.append(CheckRecord("far-corner-relative", law, corner_err, 0.0, 1e-8))
+        errors = _overlap_errors(rng.uniform(-2, 2, size=(50, 4)), hilbert.coherent_state, space)
+        records.append(CheckRecord("moderate-labels", law, _worst(errors), 0.0, 1e-10))
         if args.modes == 3:
-            records.append(
-                CheckRecord(
-                    "three-mode-sample",
-                    "overlap-closed-form",
-                    overlap_3d_max_rel_err(rng, n_pairs=10, cutoff=16),
-                    0.0,
-                    1e-6,
-                )
-            )
+            three_err = overlap_3d_max_rel_err(rng, n_pairs=10, cutoff=16)
+            records.append(CheckRecord("three-mode-sample", law, three_err, 0.0, 1e-6))
     else:
         grid = hilbert.GridSpace(args.grid_extent, args.grid_points)
-        errors = []
-        for _ in range(50):
-            p1, x1, p2, x2 = rng.uniform(-2, 2, size=4)
-            got = hilbert.overlap(
-                hilbert.grid_coherent_state(grid, p1, x1), hilbert.grid_coherent_state(grid, p2, x2)
-            )
-            want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
-            errors.append(abs(got - want))
-        records.append(CheckRecord("grid-vs-closed-form", "overlap-closed-form", _worst(errors), 0.0, 1e-9))
-        pairs = []
-        for _ in range(50):
-            p1, x1, p2, x2 = rng.uniform(-2, 2, size=4)
-            pairs.append(((p1, x1, 0.0), (p2, x2, 0.0)))
-        diffs = hilbert.cross_validate_backends(pairs, space, grid)
-        records.append(
-            CheckRecord(
-                "backend-cross-validation",
-                "plumbing",
-                _worst([r["abs_diff"] for r in diffs]),
-                0.0,
-                1e-7,
-            )
-        )
+        errors = _overlap_errors(rng.uniform(-2, 2, size=(50, 4)), hilbert.grid_coherent_state, grid)
+        records.append(CheckRecord("grid-vs-closed-form", law, _worst(errors), 0.0, 1e-9))
+        pairs = [((p1, x1, 0.0), (p2, x2, 0.0)) for p1, x1, p2, x2 in rng.uniform(-2, 2, size=(50, 4))]
+        cross_err = _worst([r["abs_diff"] for r in hilbert.cross_validate_backends(pairs, space, grid)])
+        records.append(CheckRecord("backend-cross-validation", "plumbing", cross_err, 0.0, 1e-7))
     return records
 
 
@@ -695,33 +665,9 @@ def _parse_pair(text: str):
 
 
 def cmd_contract_sweep(args) -> tuple:
-    pair = args.pair
-    config = contraction_lab.ContractionRunConfig(k_values=args.k, pairs=(pair,))
+    config = contraction_lab.ContractionRunConfig(k_values=args.k, pairs=(args.pair,))
     sweep = contraction_lab.overlap_decay_sweep(config)
-    records = []
-    for r in sweep:
-        if r.backend == "closed_form":
-            records.append(
-                CheckRecord(
-                    f"decay-closed-k{r.k:g}", "contracted-overlap-decay", r.abs_err, 0.0, 1e-12
-                )
-            )
-        elif r.k <= 4.0:
-            records.append(
-                CheckRecord(
-                    f"decay-fock-k{r.k:g}", "contracted-overlap-decay", r.abs_err, 0.0, 1e-4
-                )
-            )
-    if len(config.k_values) >= 2:
-        backend = "fock" if any(r.backend == "fock" for r in sweep) else "closed_form"
-        slope = contraction_lab.decay_slope(sweep, 0, backend=backend)
-        d2 = (pair[0][0] - pair[1][0]) ** 2 + (pair[0][1] - pair[1][1]) ** 2
-        records.append(
-            CheckRecord(
-                "decay-slope", "contracted-overlap-decay", slope, -0.25 * d2, 0.01 * 0.25 * d2
-            )
-        )
-    return records, contraction_lab.csv_rows(sweep)
+    return decay_law_check(sweep, args.pair, ""), contraction_lab.csv_rows(sweep)
 
 
 def cmd_star_bracket(args) -> list[CheckRecord]:
@@ -733,32 +679,14 @@ def cmd_star_bracket(args) -> list[CheckRecord]:
         fixed = bracket.substitute_hbar(args.hbar)
         print(f"at hbar = {args.hbar}: {fixed.to_text()}")
 
-    x = star_product.PhasePolynomial.variable(1, "x")
-    p = star_product.PhasePolynomial.variable(1, "p")
-    hb = star_product.PhasePolynomial.variable(1, "hbar")
-    comm = star_product.star(x, p) - star_product.star(p, x)
-    canonical = 0.0 if comm == hb.scale(star_product.CRat(im=Fraction(1))) else 1.0
+    antisymmetry = 0.0 if bracket == -star_product.moyal_bracket(g, f) else 1.0
     records = [
-        CheckRecord("canonical-commutator", "canonical-star-commutator", canonical, 0.0, 0.0),
-        CheckRecord(
-            "bracket-antisymmetry-exact",
-            "star-associativity",
-            0.0 if bracket == -star_product.moyal_bracket(g, f) else 1.0,
-            0.0,
-            0.0,
-        ),
+        *star_commutator_check("canonical-commutator"),
+        CheckRecord("bracket-antisymmetry-exact", "star-associativity", antisymmetry, 0.0, 0.0),
     ]
     if args.f.replace(" ", "") == "x^3" and args.g.replace(" ", "") == "p^3":
-        correction = bracket.terms.get((0, 0, 2), star_product.CRAT_ZERO)
-        records.append(
-            CheckRecord(
-                "cubic-correction-coefficient",
-                "bracket-classical-limit",
-                float(correction.re),
-                -1.5,
-                0.0,
-            )
-        )
+        correction = float(bracket.terms.get((0, 0, 2), star_product.CRAT_ZERO).re)
+        records.append(CheckRecord("cubic-correction-coefficient", "bracket-classical-limit", correction, -1.5, 0.0))
     return records
 
 
@@ -803,85 +731,71 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default=".", help="directory for report files")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--tolerance", type=_positive_float, default=None, help="override the main tolerance")
+    parser.add_argument("--tolerance", type=_bounded(positive=True), default=None, help="override the main tolerance")
     # same flags accepted after the subcommand as well; SUPPRESS keeps the
     # top-level value when the subcommand does not repeat them
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", default=argparse.SUPPRESS)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--tolerance", type=_positive_float, default=argparse.SUPPRESS)
+    shared.add_argument("--tolerance", type=_bounded(positive=True), default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser(
-        "algebra-verify", help="bracket axioms of a built-in table", parents=[shared]
-    )
+    def command(name: str, help: str, func, **defaults) -> argparse.ArgumentParser:
+        s = sub.add_parser(name, help=help, parents=[shared])
+        s.set_defaults(func=func, **defaults)
+        return s
+
+    s = command("algebra-verify", "bracket axioms of a built-in table", cmd_algebra_verify)
     s.add_argument("--builtin", default="HR3", choices=["HR3", "HR3_with_H"])
     s.add_argument(
-        "--eps", type=_nonnegative_float_list, default=None, help="comma-separated deformation values >= 0"
+        "--eps", type=_bounded(low=0.0, many=True), default=None, help="comma-separated deformation values >= 0"
     )
-    s.set_defaults(func=cmd_algebra_verify)
 
-    s = sub.add_parser(
-        "algebra-contract", help="contract and take the limit table", parents=[shared]
-    )
+    s = command("algebra-contract", "contract and take the limit table", cmd_algebra_contract)
     s.add_argument("--builtin", default="HR3", choices=["HR3", "HR3_with_H"])
-    s.add_argument("--k", type=_positive_float, default=10.0)
-    s.set_defaults(func=cmd_algebra_contract)
+    s.add_argument("--k", type=_bounded(positive=True), default=10.0)
 
-    s = sub.add_parser(
-        "coset-compose", help="matrix composition vs closed form", parents=[shared]
-    )
+    s = command("coset-compose", "matrix composition vs closed form", cmd_coset_compose)
     s.add_argument("--kind", default="phase", choices=["phase", "config"])
-    s.add_argument("--samples", type=_positive_int, default=300)
-    s.set_defaults(func=cmd_coset_compose)
+    s.add_argument("--samples", type=_bounded(int, 1, MAX_SAMPLES), default=300)
 
-    s = sub.add_parser(
-        "coherent-overlap", help="overlap checks on a backend", parents=[shared]
-    )
+    s = command("coherent-overlap", "overlap checks on a backend", cmd_coherent_overlap)
     s.add_argument("--backend", default="fock", choices=["fock", "grid"])
-    s.add_argument("--cutoff", type=_cutoff, default=64)
+    s.add_argument("--cutoff", type=_bounded(int, 2, contraction_lab.FOCK_MAX_CUTOFF), default=64)
     s.add_argument("--modes", type=int, default=1, choices=[1, 3])
-    s.add_argument("--grid-extent", type=_positive_float, default=10.0)
-    s.add_argument("--grid-points", type=int, default=160)
-    s.set_defaults(func=cmd_coherent_overlap)
+    s.add_argument("--grid-extent", type=_bounded(positive=True), default=10.0)
+    s.add_argument("--grid-points", type=_bounded(int, 8, MAX_GRID_POINTS), default=160)
 
-    s = sub.add_parser(
-        "contract-sweep", help="overlap decay under contraction", parents=[shared]
+    s = command(
+        "contract-sweep", "overlap decay under contraction", cmd_contract_sweep, writes_csv="contract_sweep.csv"
     )
     s.add_argument("--pair", type=_parse_pair, default="dx=1,dp=0")
-    s.add_argument("--k", type=_positive_float_list, default="1,2,3,4,6,8", help="comma-separated values > 0")
-    s.set_defaults(func=cmd_contract_sweep, writes_csv="contract_sweep.csv")
-
-    s = sub.add_parser(
-        "star-bracket", help="deformed bracket of two polynomials", parents=[shared]
+    s.add_argument(
+        "--k", type=_bounded(positive=True, many=True), default="1,2,3,4,6,8", help="comma-separated values > 0"
     )
-    s.add_argument("--f", default="x^3")
-    s.add_argument("--g", default="p^3")
-    s.add_argument("--hbar", type=_positive_rational, default=None, help="rational value > 0 to substitute")
-    s.set_defaults(func=cmd_star_bracket)
 
-    s = sub.add_parser(
-        "star-limit-sweep", help="bracket error against hbar", parents=[shared]
-    )
+    s = command("star-bracket", "deformed bracket of two polynomials", cmd_star_bracket)
     s.add_argument("--f", default="x^3")
     s.add_argument("--g", default="p^3")
     s.add_argument(
-        "--hbar", type=_positive_float_list, default="1e-1,1e-2,1e-3", help="comma-separated values > 0"
+        "--hbar", type=_bounded(Fraction, positive=True), default=None, help="rational value > 0 to substitute"
     )
-    s.set_defaults(func=cmd_star_limit_sweep)
 
-    s = sub.add_parser(
-        "flow-check", help="ray flow: coefficient vs canonical routes", parents=[shared]
+    s = command("star-limit-sweep", "bracket error against hbar", cmd_star_limit_sweep)
+    s.add_argument("--f", default="x^3")
+    s.add_argument("--g", default="p^3")
+    s.add_argument(
+        "--hbar", type=_bounded(positive=True, many=True), default="1e-1,1e-2,1e-3", help="comma-separated values > 0"
     )
-    s.add_argument("--cutoff", type=_flow_cutoff, default=32)
-    s.add_argument("--t-final", type=_positive_float, default=10.0)
-    s.add_argument("--dt", type=_positive_float, default=1e-3)
+
+    s = command("flow-check", "ray flow: coefficient vs canonical routes", cmd_flow_check)
+    s.add_argument("--cutoff", type=_bounded(int, 2, FLOW_MAX_CUTOFF), default=32)
+    s.add_argument("--t-final", type=_bounded(positive=True), default=10.0)
+    s.add_argument("--dt", type=_bounded(positive=True), default=1e-3)
     s.add_argument("--p", type=_finite_float, default=0.8)
     s.add_argument("--x", type=_finite_float, default=0.6)
-    s.set_defaults(func=cmd_flow_check)
 
-    s = sub.add_parser("all", help="full acceptance battery", parents=[shared])
-    s.set_defaults(func=cmd_all, writes_csv="contract_sweep.csv")
+    command("all", "full acceptance battery", cmd_all, writes_csv="contract_sweep.csv")
     return parser
 
 
@@ -896,6 +810,7 @@ def main(argv=None) -> int:
         for k, v in vars(args).items()
         if k not in ("func", "out", "command", "writes_csv") and not callable(v)
     }
+    error = None
     try:
         result = args.func(args)
         records, csv_rows = result if isinstance(result, tuple) else (result, None)
@@ -906,19 +821,17 @@ def main(argv=None) -> int:
     # TruncationGuardError is a ValueError; OverflowError is an ArithmeticError;
     # build_fock_space's ladder and Hermiticity guards raise AssertionError
     except (ValueError, ArithmeticError, AssertionError) as exc:
-        records = [CheckRecord("diagnostic", "plumbing", 1.0, 0.0, 0.0)]
-        manifest = build_manifest(args.command, parameters, args.seed)
-        report = build_report(manifest, records)
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        path = out_dir / f"{args.command.replace('-', '_')}_report.json"
-        path.write_text(serialize_report(report))
-        print(f"error: {report['error']}", file=sys.stderr)
-        return 1
+        records, csv_rows = [CheckRecord("diagnostic", "plumbing", 1.0, 0.0, 0.0)], None
+        error = f"{type(exc).__name__}: {exc}"
 
-    manifest = build_manifest(args.command, parameters, args.seed)
-    report = build_report(manifest, records)
+    report = build_report(build_manifest(args.command, parameters, args.seed), records)
+    if error is not None:
+        report["error"] = error
     path = out_dir / f"{args.command.replace('-', '_')}_report.json"
     path.write_text(serialize_report(report))
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     if csv_rows is not None:
         contraction_lab.write_decay_csv(csv_rows, out_dir / getattr(args, "writes_csv"))
 

@@ -40,9 +40,6 @@ class WeylLabel:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(3))
         object.__setattr__(self, "theta", float(self.theta))
 
-    def inverse(self) -> "WeylLabel":
-        return WeylLabel(-self.p, -self.x, -self.theta)
-
 
 @dataclass(frozen=True)
 class AlgebraParams:

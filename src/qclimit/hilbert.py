@@ -825,13 +825,6 @@ def grid_coherent_state(grid: GridSpace, p: float, x: float, theta: float = 0.0)
     return StateVector("grid", grid, coeff)
 
 
-def grid_translate(grid: GridSpace, state: StateVector, shift: float) -> StateVector:
-    """exp(-i shift P) via the spectral representation: psi(y) -> psi(y - shift)."""
-    k = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
-    out = np.fft.ifft(np.fft.fft(state.coefficients) * np.exp(-1j * k * shift))
-    return StateVector("grid", grid, out)
-
-
 def cross_validate_backends(
     pairs, space: FockSpace, grid: GridSpace
 ) -> list[dict]:

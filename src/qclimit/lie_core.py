@@ -11,11 +11,9 @@ terms with positive ``power`` rather than a numerical limit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -89,56 +87,6 @@ class StructureConstantTable:
                 out.setdefault(power, np.zeros((n, n, n)))[a, b, tgt] += coeff
         return out
 
-    # -- JSON interface: only the a < b half is stored, mirror implied ------
-
-    def to_json_dict(self) -> dict:
-        gens = [
-            {"name": g.name, "role": g.role}
-            | ({"axis": g.axis} if g.axis is not None else {})
-            for g in self.generators
-        ]
-        brackets = []
-        for (a, b) in sorted(self.entries):
-            if a >= b:
-                continue
-            terms = [
-                {
-                    "gen": self.generators[tgt].name,
-                    "coeff": coeff,
-                    "eps_power": _power_to_json(power),
-                }
-                for tgt, coeff, power in self.entries[(a, b)]
-            ]
-            if terms:
-                brackets.append(
-                    {"a": self.generators[a].name, "b": self.generators[b].name, "terms": terms}
-                )
-        return {"name": self.name, "generators": gens, "brackets": brackets}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StructureConstantTable":
-        gens = tuple(
-            GeneratorLabel(g["name"], g["role"], g.get("axis")) for g in data["generators"]
-        )
-        names = {g.name: i for i, g in enumerate(gens)}
-        entries: dict[tuple[int, int], tuple[Term, ...]] = {}
-        for br in data["brackets"]:
-            a, b = names[br["a"]], names[br["b"]]
-            terms = tuple(
-                (names[t["gen"]], float(t["coeff"]), _power_from_json(t["eps_power"]))
-                for t in br["terms"]
-            )
-            entries[(a, b)] = terms
-            entries[(b, a)] = _negate(terms)
-        return cls(data["name"], gens, entries)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "StructureConstantTable":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
-
 
 def _eps_pow(eps: float, power: Fraction) -> float:
     if power == 0:
@@ -146,16 +94,6 @@ def _eps_pow(eps: float, power: Fraction) -> float:
     if eps == 0:
         return 0.0
     return float(eps) ** float(power) if power.denominator != 1 else eps ** int(power)
-
-
-def _power_to_json(power: Fraction):
-    return int(power) if power.denominator == 1 else [power.numerator, power.denominator]
-
-
-def _power_from_json(raw) -> Fraction:
-    if isinstance(raw, list):
-        return Fraction(raw[0], raw[1])
-    return Fraction(raw)
 
 
 def _negate(terms: tuple[Term, ...]) -> tuple[Term, ...]:
@@ -324,13 +262,6 @@ class VerificationReport:
     @property
     def clean(self) -> bool:
         return self.antisymmetry_max == 0.0 and self.jacobi_max < 1e-12
-
-    def to_json_dict(self) -> dict:
-        return {
-            "antisymmetry_max": self.antisymmetry_max,
-            "jacobi_max": self.jacobi_max,
-            "eps_samples": list(self.eps_samples),
-        }
 
 
 def _jacobi_residual(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:

@@ -74,9 +74,6 @@ class CRat:
     def times_i(self) -> "CRat":
         return CRat(-self.im, self.re)
 
-    def times_minus_i(self) -> "CRat":
-        return CRat(self.im, -self.re)
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -276,11 +273,6 @@ class PhasePolynomial:
             raise ValueError("negative hbar exponent")
         return PhasePolynomial._of(
             self.dims, self.den, {k[:-1] + (k[-1] + amount,): v for k, v in self.nums.items()}
-        )
-
-    def substitute_hbar_zero(self) -> "PhasePolynomial":
-        return PhasePolynomial._of(
-            self.dims, self.den, {k: v for k, v in self.nums.items() if k[-1] == 0}
         )
 
     def substitute_hbar(self, value: Fraction) -> "PhasePolynomial":

@@ -180,6 +180,97 @@ def test_contract_sweep_pinned_example(tmp_path):
     assert abs(slope["measured"] + 0.25) < 0.0025
 
 
+@pytest.mark.parametrize(
+    "k, check_ids",
+    [
+        # k = 6 and 8 have Fock records, but none at k <= 4
+        ("6,8", ["closed-form-decay", "decay-slope"]),
+        # one k value: nothing to fit a slope to
+        ("2", ["closed-form-decay", "fock-decay"]),
+        ("1,2,4", ["closed-form-decay", "fock-decay", "decay-slope"]),
+    ],
+)
+def test_contract_sweep_checks_follow_the_sweep_records(tmp_path, k, check_ids):
+    code, report = run_cli(tmp_path, "contract-sweep", "--k", k)
+    assert code == 0
+    assert [c["check_id"] for c in report["checks"]] == check_ids
+    assert all(c["pass"] for c in report["checks"])
+    if "decay-slope" in check_ids:
+        # the default pair has unit separation: the C08 prediction, bit for bit
+        slope = check_by_id(report, "decay-slope")
+        assert (slope["predicted"], slope["tolerance"]) == (-0.25, 0.0025)
+
+
+def test_overlap_errors_equal_the_per_pair_loop():
+    space = cli.hilbert.build_fock_space(1, 64)
+    old_rng, new_rng = np.random.default_rng(5), np.random.default_rng(5)
+    want = []
+    for _ in range(50):
+        p1, x1, p2, x2 = old_rng.uniform(-2, 2, size=4)
+        got = cli.hilbert.overlap(cli.hilbert.coherent_state(space, p1, x1), cli.hilbert.coherent_state(space, p2, x2))
+        want.append(abs(got - cli.hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)))
+    labels = new_rng.uniform(-2, 2, size=(50, 4))
+    assert cli._overlap_errors(labels, cli.hilbert.coherent_state, space) == want
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+# each law's one check function, and the subcommand that shares it with `all`
+LAW_CHECKS = [
+    (cli, "algebra_axiom_check", ("algebra-verify",)),
+    (cli, "overlap_spot_check", ("coherent-overlap",)),
+    (cli, "decay_law_check", ("contract-sweep",)),
+    (cli.star_product, "canonical_commutator_check", ("star-bracket",)),
+    (cli, "group_law_check", ("coset-compose",)),
+    (cli, "flow_law_check", ("flow-check", "--t-final", "2.0")),
+]
+
+
+def test_each_law_has_one_implementation(tmp_path, monkeypatch):
+    calls = {}
+    for module, name, _ in LAW_CHECKS:
+
+        def counted(*args, _check=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def run(*argv):
+        calls.update((name, 0) for _, name, _ in LAW_CHECKS)
+        assert cli.main(["--out", str(tmp_path), "--seed", "7", *argv]) == 0
+        return dict(calls)
+
+    battery = run("all")
+    assert all(battery.values()), battery
+    for _, name, argv in LAW_CHECKS:
+        assert run(*argv)[name] >= 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv, low, high",
+    [
+        (("coset-compose", "--samples"), 1, 100000),
+        (("coherent-overlap", "--backend", "grid", "--grid-points"), 8, 65536),
+    ],
+)
+def test_size_bounds_at_both_edges(capsys, argv, low, high):
+    parser = cli.make_parser()
+    option = argv[-1].lstrip("-").replace("-", "_")
+    for value in (low, high):
+        assert getattr(parser.parse_args([*argv, str(value)]), option) == value
+    for value in (low - 1, high + 1):
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, str(value)])
+        assert f"argument {argv[-1]}: {value} is not an integer in [{low}, {high}]" in capsys.readouterr().err
+
+
+def test_odd_grid_points_fail_in_the_grid_space(tmp_path, capsys):
+    code, report = run_cli(tmp_path, "coherent-overlap", "--backend", "grid", "--grid-points", "161")
+    assert code == 1
+    assert report["error"] == "ValueError: points must be even and >= 8"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_star_bracket_prints_exact_correction(tmp_path, capsys):
     code, report = run_cli(tmp_path, "star-bracket", "--hbar", "1/10")
     out = capsys.readouterr().out
@@ -256,7 +347,8 @@ def test_flow_check_rejected_at_parser(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("command", ["coherent-overlap", "flow-check"])
-@pytest.mark.parametrize("cutoff", ["1", "5000"])
+# integers print with str: 10000000, not 1e+07
+@pytest.mark.parametrize("cutoff", ["1", "5000", "10000000"])
 def test_cutoff_out_of_range_rejected_at_parser(tmp_path, capsys, command, cutoff):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--out", str(tmp_path), command, "--cutoff", cutoff])
@@ -425,8 +517,8 @@ def test_import_and_all_load_no_scipy(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("coset-compose", "--samples", "0"), "argument --samples: 0 is not an integer >= 1"),
-        (("coset-compose", "--samples=-3"), "argument --samples: -3 is not an integer >= 1"),
+        (("coset-compose", "--samples", "0"), "argument --samples: 0 is not an integer in [1, 100000]"),
+        (("coset-compose", "--samples=-3"), "argument --samples: -3 is not an integer in [1, 100000]"),
         (("coset-compose", "--samples", "2.5"), "argument --samples: '2.5' is not an integer"),
         (("algebra-contract", "--k", "inf"), "argument --k: inf is not a finite value"),
         (("algebra-contract", "--k", "0"), "argument --k: 0 is not a finite positive value"),

@@ -23,7 +23,6 @@ from qclimit.hilbert import (
     fock_matrix_element_hp,
     fock_overlap_hp,
     grid_coherent_state,
-    grid_translate,
     matrix_element,
     matrix_element_formula,
     operator_commutator_check,
@@ -872,14 +871,6 @@ def test_grid_overlap_matches_closed_form():
         )
         want = coherent_overlap_formula(p1, x1, t1, p2, x2, t2)
         assert abs(got - want) < 1e-9
-
-
-def test_grid_translation_shifts_labels_with_half_phase():
-    grid = GridSpace(10.0, 160)
-    p, x, theta, shift = 1.2, -0.5, 0.3, 1.75
-    moved = grid_translate(grid, grid_coherent_state(grid, p, x, theta), shift)
-    want = grid_coherent_state(grid, p, x + shift, theta - 0.5 * p * shift)
-    assert np.abs(moved.coefficients - want.coefficients).max() < 1e-9
 
 
 def test_backend_cross_validation():

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -301,28 +300,8 @@ def test_family_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# fractional powers and table construction
 # ---------------------------------------------------------------------------
-
-
-def test_json_round_trip(tmp_path):
-    t = build_standard_algebra("HR3_with_H")
-    path = tmp_path / "hr3h.json"
-    t.save(path)
-    loaded = StructureConstantTable.load(path)
-    assert loaded.entries == t.entries
-    assert [g.name for g in loaded.generators] == [g.name for g in t.generators]
-
-
-def test_json_half_storage():
-    t = build_standard_algebra("HR3")
-    data = t.to_json_dict()
-    pairs = {(br["a"], br["b"]) for br in data["brackets"]}
-    names = [g.name for g in t.generators]
-    for a, b in pairs:
-        assert names.index(a) < names.index(b)
-    assert ("X1", "P1") in pairs
-    assert ("P1", "X1") not in pairs
 
 
 def test_json_fractional_power():
@@ -333,9 +312,6 @@ def test_json_fractional_power():
     )
     sym = fam.rescaled
     assert sym.bracket_terms("X1", "P1") == ((sym.index("I"), 1.0, Fraction(1, 2)),)
-    blob = json.dumps(sym.to_json_dict())
-    loaded = StructureConstantTable.from_json_dict(json.loads(blob))
-    assert loaded.entries == sym.entries
 
 
 def test_make_table_mirrors():

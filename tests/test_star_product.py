@@ -96,7 +96,6 @@ def test_gaussian_rational_arithmetic():
     assert (a * b).re == Fraction(1, 2) * 2 - Fraction(3) * Fraction(-1, 3)
     assert (a * b).im == Fraction(1, 2) * Fraction(-1, 3) + Fraction(3) * 2
     assert a.times_i() == CRat(Fraction(-3), Fraction(1, 2))
-    assert a.times_i().times_minus_i() == a
     assert (a - a).is_zero
 
 
@@ -314,7 +313,7 @@ def test_zero_hbar_limit_of_product_is_pointwise_product():
     for _ in range(10):
         f = _random_poly(rng)
         g = _random_poly(rng)
-        assert star(f, g).substitute_hbar_zero() == (f * g).substitute_hbar_zero()
+        assert star(f, g).substitute_hbar(0) == (f * g).substitute_hbar(0)
 
 
 def test_bracket_limit_equals_poisson_for_hbar_free_inputs():
@@ -322,7 +321,7 @@ def test_bracket_limit_equals_poisson_for_hbar_free_inputs():
     for _ in range(10):
         f = _random_poly(rng, allow_hbar=False)
         g = _random_poly(rng, allow_hbar=False)
-        assert moyal_bracket(f, g).substitute_hbar_zero() == poisson_bracket(f, g)
+        assert moyal_bracket(f, g).substitute_hbar(0) == poisson_bracket(f, g)
 
 
 def test_classical_limit_sweep_slope():
