@@ -11,8 +11,9 @@ Each law is computed by one check function, which its battery criterion and
 its subcommand both call with their own check-ID prefix: the bracket axioms
 (C01, algebra-verify), the Weyl group law (C03, coset-compose), the coherent
 spot overlap (C04, coherent-overlap), the contraction decay (C08,
-contract-sweep), the canonical star commutator (C10, star-bracket) and the
-ray flow (C11, flow-check).
+contract-sweep), the canonical star commutator (C10, star-bracket), the
+classical limit of the star bracket (C10, star-limit-sweep) and the ray flow
+(C11, flow-check).
 """
 
 from __future__ import annotations
@@ -154,16 +155,18 @@ def _grid_label_pairs():
     return labels, (p[:, None, None], x[:, None, None]), (p[None, :, None], x[None, :, None])
 
 
-def overlap_grid_max_rel_err(cutoff: int = 64, dps: int = 30) -> float:
-    """Closed form vs. high-precision truncated sum over the 1D label grid."""
+def overlap_grid_max_rel_err() -> float:
+    """Closed form vs. high-precision truncated sum at cutoff 64 over the 1D
+    label grid."""
     labels, rows, cols = _grid_label_pairs()
-    gram = hilbert.fock_gram_hp(labels, labels, cutoff, "c", dps)
+    gram = hilbert.fock_gram_hp(labels, labels, 64, "c")
     want = hilbert.coherent_overlap_formula(*rows, 0.0, *cols, 0.0)
     return _worst(np.abs(gram - want) / np.abs(want))
 
 
-def matrix_element_grid_max_rel_err(cutoff: int = 64, dps: int = 30) -> float:
-    """Closed form vs. high-precision sums for X and P elements on the grid.
+def matrix_element_grid_max_rel_err() -> float:
+    """Closed form vs. high-precision sums at cutoff 64 for X and P elements
+    on the grid.
 
     Where the predicted element vanishes (label symmetry kills the prefactor)
     the error is scaled by the overlap magnitude instead, which is the natural
@@ -174,16 +177,17 @@ def matrix_element_grid_max_rel_err(cutoff: int = 64, dps: int = 30) -> float:
     errors = []
     for kind in ("X", "P"):
         want = hilbert.matrix_element_formula(kind, 1, *rows, 0.0, *cols, 0.0)
-        gram = hilbert.fock_gram_hp(labels, labels, cutoff, kind, dps)
+        gram = hilbert.fock_gram_hp(labels, labels, 64, kind)
         errors.append(np.abs(gram - want) / np.maximum(np.abs(want), ovl))
     return _worst(errors)
 
 
-def overlap_3d_max_rel_err(rng, n_pairs: int = 40, cutoff: int = 16) -> float:
+def overlap_3d_max_rel_err(rng, n_pairs: int) -> float:
+    """Closed form vs. high-precision sum at cutoff 16 on random 3-mode pairs."""
     errors = []
     for _ in range(n_pairs):
         p1, x1, p2, x2 = (rng.uniform(-1.5, 1.5, size=3) for _ in range(4))
-        got = hilbert.fock_overlap_hp(p1, x1, 0.0, p2, x2, 0.0, cutoff=cutoff)
+        got = hilbert.fock_overlap_hp(p1, x1, 0.0, p2, x2, 0.0, cutoff=16)
         want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)
         errors.append(abs(got - want) / abs(want))
     return _worst(errors)
@@ -276,8 +280,8 @@ def overlap_spot_check(cutoff: int, check_id: str) -> list[CheckRecord]:
 
 
 def criterion_04_overlaps(rng) -> list[CheckRecord]:
-    grid_err = overlap_grid_max_rel_err(cutoff=64)
-    three_err = overlap_3d_max_rel_err(rng, n_pairs=40, cutoff=16)
+    grid_err = overlap_grid_max_rel_err()
+    three_err = overlap_3d_max_rel_err(rng, 40)
     return [
         CheckRecord("C04.overlap-grid-1d", "overlap-closed-form", grid_err, 0.0, 1e-8),
         CheckRecord("C04.overlap-3d", "overlap-closed-form", three_err, 0.0, 1e-6),
@@ -286,7 +290,7 @@ def criterion_04_overlaps(rng) -> list[CheckRecord]:
 
 
 def criterion_05_matrix_elements() -> list[CheckRecord]:
-    grid_err = matrix_element_grid_max_rel_err(cutoff=64)
+    grid_err = matrix_element_grid_max_rel_err()
     space = hilbert.build_fock_space(1, 48)
     diag = []
     for p, x in itertools.product(GRID_VALUES, GRID_VALUES):
@@ -341,8 +345,8 @@ def decay_law_check(records, pair, prefix: str) -> list[CheckRecord]:
     The closed-form maximum always; the Fock maximum only when the sweep has
     a Fock record at k <= 4; and the log-slope against k^2, predicted
     -d^2/4 for label distance d, only when the sweep has at least two k
-    values.  The slope is fitted on the Fock route when the sweep has Fock
-    records, and on the closed form otherwise.
+    values.  The slope is fitted on the Fock route when it has nonzero
+    overlaps at two or more distinct k, and on the closed form otherwise.
     """
     law = "contracted-overlap-decay"
     closed_err = _worst([r.abs_err for r in records if r.backend == "closed_form"])
@@ -351,7 +355,8 @@ def decay_law_check(records, pair, prefix: str) -> list[CheckRecord]:
     if fock_err:
         checks.append(CheckRecord(f"{prefix}fock-decay", law, _worst(fock_err), 0.0, 1e-4))
     if len({r.k for r in records}) >= 2:
-        backend = "fock" if any(r.backend == "fock" for r in records) else "closed_form"
+        fock_k = {r.k for r in records if r.backend == "fock" and r.overlap_abs > 0.0}
+        backend = "fock" if len(fock_k) >= 2 else "closed_form"
         slope = contraction_lab.decay_slope(records, 0, backend=backend)
         d2 = (pair[0][0] - pair[1][0]) ** 2 + (pair[0][1] - pair[1][1]) ** 2
         checks.append(CheckRecord(f"{prefix}decay-slope", law, slope, -0.25 * d2, 0.01 * 0.25 * d2))
@@ -401,6 +406,20 @@ def star_commutator_check(check_id: str) -> list[CheckRecord]:
     return [CheckRecord(check_id, "canonical-star-commutator", defect, 0.0, 0.0)]
 
 
+def classical_limit_check(sweep, prefix: str, tolerance: float = 0.05) -> list[CheckRecord]:
+    """The hbar -> 0 limit of the star bracket from a classical_limit_sweep:
+    its log-log slope, predicted 2, or an exact check when every deviation is
+    exactly 0.  A sweep with neither raises ValueError, so that a sweep which
+    measured no slope cannot pass."""
+    law = "bracket-classical-limit"
+    if sweep["slope"] is not None:
+        return [CheckRecord(f"{prefix}slope", law, sweep["slope"], 2.0, tolerance)]
+    worst = _worst([r["max_abs_err"] for r in sweep["records"]])
+    if worst == 0.0:
+        return [CheckRecord(f"{prefix}exact", law, worst, 0.0, 0.0)]
+    raise ValueError("need a nonzero bracket deviation at two or more distinct hbar values to fit a slope")
+
+
 def criterion_10_star_algebra(rng) -> list[CheckRecord]:
     x = star_product.PhasePolynomial.variable(1, "x")
     p = star_product.PhasePolynomial.variable(1, "p")
@@ -440,7 +459,7 @@ def criterion_10_star_algebra(rng) -> list[CheckRecord]:
     return [
         CheckRecord("C10.associativity-jacobi", "star-associativity", float(defects), 0.0, 0.0),
         *star_commutator_check("C10.canonical-commutator"),
-        CheckRecord("C10.classical-slope", "bracket-classical-limit", sweep["slope"], 2.0, 0.05),
+        *classical_limit_check(sweep, "C10.classical-"),
         CheckRecord("C10.quadratic-flow-exact", "harmonic-star-flow", flow_defect, 0.0, 0.0),
         CheckRecord(
             "C10.quadratic-flow-coefficients", "harmonic-star-flow", flow["max_coefficient_error"], 0.0, 1e-10
@@ -503,10 +522,10 @@ CRITERION_RUNNERS = {
 
 
 def run_battery(seed: int = 7):
-    """All acceptance criteria in order; returns (records, per-criterion
-    seconds, C08's decay records)."""
+    """All acceptance criteria in order; returns (check records by criterion
+    number, seconds by criterion number, C08's decay records)."""
     rng = np.random.default_rng(seed)
-    records = []
+    grouped = {}
     timings = {}
     sweep = None
     for number, (label, runner) in CRITERION_RUNNERS.items():
@@ -515,16 +534,8 @@ def run_battery(seed: int = 7):
         timings[number] = time.perf_counter() - start
         if isinstance(result, tuple):
             result, sweep = result
-        records.extend(result)
-    return records, timings, sweep
-
-
-def battery_by_criterion(records) -> dict:
-    grouped = {}
-    for r in records:
-        number = int(r.check_id[1:3])
-        grouped.setdefault(number, []).append(r)
-    return grouped
+        grouped[number] = result
+    return grouped, timings, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +647,7 @@ def cmd_coherent_overlap(args) -> list[CheckRecord]:
         errors = _overlap_errors(rng.uniform(-2, 2, size=(50, 4)), hilbert.coherent_state, space)
         records.append(CheckRecord("moderate-labels", law, _worst(errors), 0.0, 1e-10))
         if args.modes == 3:
-            three_err = overlap_3d_max_rel_err(rng, n_pairs=10, cutoff=16)
+            three_err = overlap_3d_max_rel_err(rng, 10)
             records.append(CheckRecord("three-mode-sample", law, three_err, 0.0, 1e-6))
     else:
         grid = hilbert.GridSpace(args.grid_extent, args.grid_points)
@@ -693,17 +704,10 @@ def cmd_star_bracket(args) -> list[CheckRecord]:
 def cmd_star_limit_sweep(args) -> list[CheckRecord]:
     f = star_product.from_text(1, args.f)
     g = star_product.from_text(1, args.g)
-    sweep = star_product.classical_limit_sweep(
-        f, g, hbar_values=args.hbar, seed=args.seed
-    )
+    sweep = star_product.classical_limit_sweep(f, g, hbar_values=args.hbar, seed=args.seed)
     for r in sweep["records"]:
         print(f"hbar={r['hbar']:g}: max bracket deviation {r['max_abs_err']:.6g}")
-    records = []
-    if sweep["slope"] is not None:
-        records.append(
-            CheckRecord("limit-slope", "bracket-classical-limit", sweep["slope"], 2.0, args.tolerance or 0.05)
-        )
-    return records
+    return classical_limit_check(sweep, "limit-", args.tolerance or 0.05)
 
 
 def cmd_flow_check(args) -> list[CheckRecord]:
@@ -711,13 +715,12 @@ def cmd_flow_check(args) -> list[CheckRecord]:
 
 
 def cmd_all(args) -> tuple:
-    records, timings, sweep = run_battery(args.seed)
-    grouped = battery_by_criterion(records)
-    for number in sorted(grouped):
+    grouped, timings, sweep = run_battery(args.seed)
+    for number, records in grouped.items():
         label = CRITERION_RUNNERS[number][0]
-        ok = all(r.passed for r in grouped[number])
+        ok = all(r.passed for r in records)
         print(f"criterion {number:02d} ({label}): {'PASS' if ok else 'FAIL'}  [{timings[number]:.2f}s]")
-    return records, contraction_lab.csv_rows(sweep)
+    return [r for records in grouped.values() for r in records], contraction_lab.csv_rows(sweep)
 
 
 # ---------------------------------------------------------------------------

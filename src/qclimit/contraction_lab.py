@@ -43,6 +43,7 @@ CSV_COLUMNS = (
 )
 
 
+BASE_CUTOFF = 64  # the smallest cutoff used
 FOCK_MAX_CUTOFF = 4096  # the largest cutoff used; the float64 ladder check first fails at 4105
 
 
@@ -52,11 +53,12 @@ def hbar_effective(k: float) -> float:
     return 1.0 / (k * k)
 
 
-def required_cutoff(k: float, labels, base: int = 64) -> int:
-    """Cutoff policy: four times the largest physical mean occupation 2 k^2 L^2,
-    floored at `base`, where L^2 is the largest squared contracted label."""
+def required_cutoff(k: float, labels) -> int:
+    """Cutoff policy: ceil(4 k^2 L^2), floored at BASE_CUTOFF, where L^2 is the
+    largest squared contracted label.  That is eight times the largest physical
+    mean occupation k^2 L^2 / 2, twice the margin coherent_state's guard needs."""
     worst = max(p * p + x * x for p, x, _ in labels)
-    return max(base, int(math.ceil(4.0 * k * k * worst)))
+    return max(BASE_CUTOFF, int(math.ceil(4.0 * k * k * worst)))
 
 
 def relabel_coherent(space: FockSpace, k: float, p_c: float, x_c: float, theta: float = 0.0) -> StateVector:
@@ -79,8 +81,6 @@ def predicted_overlap(k: float, label1, label2) -> complex:
 class ContractionRunConfig:
     k_values: tuple
     pairs: tuple
-    base_cutoff: int = 64
-    fock_max_cutoff: int = FOCK_MAX_CUTOFF
 
     def __post_init__(self):
         if not self.k_values:
@@ -135,7 +135,7 @@ def _record(k, pair_id, measured: complex, predicted: complex, backend: str, cut
 
 def overlap_decay_sweep(config: ContractionRunConfig) -> list[DecayRecord]:
     """One closed-form record per (k, pair), plus a Fock record whenever the
-    cutoff policy stays within the configured budget."""
+    cutoff policy stays within FOCK_MAX_CUTOFF."""
     records = []
     for k in config.k_values:
         for pair_id, (l1, l2) in enumerate(config.pairs):
@@ -143,9 +143,9 @@ def overlap_decay_sweep(config: ContractionRunConfig) -> list[DecayRecord]:
             closed = coherent_overlap_formula(
                 k * l1[0], k * l1[1], l1[2], k * l2[0], k * l2[1], l2[2]
             )
-            cutoff = required_cutoff(k, (l1, l2), base=config.base_cutoff)
+            cutoff = required_cutoff(k, (l1, l2))
             records.append(_record(k, pair_id, closed, predicted, "closed_form", cutoff))
-            if cutoff <= config.fock_max_cutoff:
+            if cutoff <= FOCK_MAX_CUTOFF:
                 space = build_fock_space(1, cutoff)
                 s1 = relabel_coherent(space, k, l1[0], l1[1], l1[2])
                 s2 = relabel_coherent(space, k, l2[0], l2[1], l2[2])
@@ -185,19 +185,19 @@ def decay_slope(records, pair_id: int, backend: str = "fock") -> float:
         for r in records
         if r.pair_id == pair_id and r.backend == backend and r.overlap_abs > 0.0
     ]
-    if len(pts) < 2:
-        raise ValueError("need at least two usable records to fit a slope")
+    if len({x for x, _ in pts}) < 2:
+        raise ValueError("need two usable records at distinct k to fit a slope")
     xs, ys = zip(*pts)
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def eigenvalue_residual(k: float, p_c: float, x_c: float, base_cutoff: int = 64) -> dict:
+def eigenvalue_residual(k: float, p_c: float, x_c: float) -> dict:
     """Residual of the relabeled state as an approximate X_c eigenvector.
 
     The exact value is sqrt(hbar_eff/2) = 1/(k sqrt(2)) for both quadratures,
     so the states localize on classical phase-space points as k grows.
     """
-    cutoff = required_cutoff(k, ((p_c, x_c, 0.0),), base=base_cutoff)
+    cutoff = required_cutoff(k, ((p_c, x_c, 0.0),))
     space = build_fock_space(1, cutoff)
     state = relabel_coherent(space, k, p_c, x_c)
     c = state.coefficients
@@ -213,11 +213,12 @@ def eigenvalue_residual(k: float, p_c: float, x_c: float, base_cutoff: int = 64)
     }
 
 
-def gram_matrix(k: float, labels, base_cutoff: int = 64, fock_max_cutoff: int = FOCK_MAX_CUTOFF):
-    """Gram matrices of the relabeled family: (closed form, Fock or None)."""
+def gram_matrix(k: float, labels):
+    """Gram matrices of the relabeled family: (closed form, Fock), with Fock
+    None when the cutoff policy exceeds FOCK_MAX_CUTOFF."""
     closed = np.array([[predicted_overlap(k, a, b) for b in labels] for a in labels])
-    cutoff = required_cutoff(k, labels, base=base_cutoff)
-    if cutoff > fock_max_cutoff:
+    cutoff = required_cutoff(k, labels)
+    if cutoff > FOCK_MAX_CUTOFF:
         return closed, None
     space = build_fock_space(1, cutoff)
     states = [relabel_coherent(space, k, p, x, t) for p, x, t in labels]

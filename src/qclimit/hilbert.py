@@ -32,7 +32,7 @@ precision Fock-sum counterparts (suffix _hp), so that formula checks are not
 polluted by float64 cancellation at small overlaps.  One kernel,
 fock_gram_hp, computes them as exact dot products (Kulisch-Miranker 1981):
 the coherent coefficients come from an integer recursion with guard bits,
-correctly rounded to prec(dps) + 32 fractional bits; X and P act through
+correctly rounded to prec(HP_DPS) + 32 fractional bits; X and P act through
 fixed-point band roots, every sum is exact in integers, and each result is
 rounded once at the end.  The closed forms broadcast over grids of label
 pairs, so a grid check is one array expression.
@@ -438,6 +438,7 @@ def matrix_element(space: FockSpace, kind: str, axis: int, s1: StateVector, s2: 
 # ---------------------------------------------------------------------------
 
 FOCK_GRAM_KINDS = ("c", "X", "P")
+HP_DPS = 30  # decimal digits of the high-precision sums
 
 
 def _fixed(value, bits: int) -> int:
@@ -498,13 +499,13 @@ def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
     return [(v + half) >> guard for v in re], [(v + half) >> guard for v in im]
 
 
-def _fock_gram_fixed(rows, cols, cutoff: int, kind: str, dps: int) -> tuple:
+def _fock_gram_fixed(rows, cols, cutoff: int, kind: str) -> tuple:
     """Exact integer sums behind fock_gram_hp: (re, im, frac_bits), where
     re + i im over 2^frac_bits is <r|O|c> for every row and column label."""
     if kind not in FOCK_GRAM_KINDS:
         raise ValueError(f"kind must be one of {FOCK_GRAM_KINDS}, got {kind!r}")
     dim = cutoff + 1
-    bits = mpmath.libmp.dps_to_prec(dps) + 32
+    bits = mpmath.libmp.dps_to_prec(HP_DPS) + 32
     rows = [(float(p), float(x)) for p, x in rows]
     cols = [(float(p), float(x)) for p, x in cols]
     if not all(math.isfinite(v) for label in rows + cols for v in label):
@@ -536,18 +537,18 @@ def _fock_gram_fixed(rows, cols, cutoff: int, kind: str, dps: int) -> tuple:
     return re, im, frac
 
 
-def fock_gram_hp(rows, cols, cutoff: int, kind: str = "c", dps: int = 30) -> np.ndarray:
+def fock_gram_hp(rows, cols, cutoff: int, kind: str = "c") -> np.ndarray:
     """<r|O|c> on the 1D Fock space truncated at `cutoff`, for every row label
     r = (p, x) and column label c, with O the identity ("c"), X or P; a
     complex array of shape (len(rows), len(cols)).
 
     Each distinct label's coherent coefficients are computed once, correctly
-    rounded to integers with prec(dps) + 32 fractional bits (_fixed_coherent);
+    rounded to integers with prec(HP_DPS) + 32 fractional bits (_fixed_coherent);
     the X and P images use fixed-point band roots, and every element is one
     exact integer sum (an exact dot product, Kulisch-Miranker 1981), rounded
     once to complex at the end.
     """
-    re, im, frac = _fock_gram_fixed(rows, cols, cutoff, kind, dps)
+    re, im, frac = _fock_gram_fixed(rows, cols, cutoff, kind)
     scale = 1 << frac
     out = np.empty(re.shape, dtype=complex)
     for idx in np.ndindex(re.shape):
@@ -556,10 +557,10 @@ def fock_gram_hp(rows, cols, cutoff: int, kind: str = "c", dps: int = 30) -> np.
     return out
 
 
-def _hp_mode_element(label1, label2, cutoff: int, kind: str, dps: int):
+def _hp_mode_element(label1, label2, cutoff: int, kind: str):
     """One <label1|O|label2> of fock_gram_hp as an mpc, rounded once to the
     working precision of the caller."""
-    re, im, frac = _fock_gram_fixed([label1], [label2], cutoff, kind, dps)
+    re, im, frac = _fock_gram_fixed([label1], [label2], cutoff, kind)
     return mpmath.mpc(mpmath.ldexp(int(re[0, 0]), -frac), mpmath.ldexp(int(im[0, 0]), -frac))
 
 
@@ -567,30 +568,28 @@ def _hp_phase(theta1, theta2):
     return mpmath.exp(1j * (mpmath.mpf(float(theta2)) - mpmath.mpf(float(theta1))))
 
 
-def fock_overlap_hp(p1, x1, theta1, p2, x2, theta2, cutoff: int, dps: int = 30) -> complex:
+def fock_overlap_hp(p1, x1, theta1, p2, x2, theta2, cutoff: int) -> complex:
     """Truncated Fock inner product from the exact per-mode sums of
-    fock_gram_hp, multiplied and phased at `dps` decimal digits.
+    fock_gram_hp, multiplied and phased at HP_DPS decimal digits.
 
     Factorizes over modes (exact for product states), so 3D sums cost three
     1D sums.
     """
     p1, x1 = np.atleast_1d(p1), np.atleast_1d(x1)
     p2, x2 = np.atleast_1d(p2), np.atleast_1d(x2)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(HP_DPS):
         total = mpmath.mpc(1)
         for i in range(len(p1)):
-            total *= _hp_mode_element((p1[i], x1[i]), (p2[i], x2[i]), cutoff, "c", dps)
+            total *= _hp_mode_element((p1[i], x1[i]), (p2[i], x2[i]), cutoff, "c")
         return complex(total * _hp_phase(theta1, theta2))
 
 
-def fock_matrix_element_hp(
-    kind: str, p1, x1, theta1, p2, x2, theta2, cutoff: int, dps: int = 30
-) -> complex:
+def fock_matrix_element_hp(kind: str, p1, x1, theta1, p2, x2, theta2, cutoff: int) -> complex:
     """1D high-precision <s1|O|s2> with the ladder action applied exactly."""
     if kind not in ("X", "P"):
         raise ValueError("kind must be 'X' or 'P'")
-    with mpmath.workdps(dps):
-        element = _hp_mode_element((p1, x1), (p2, x2), cutoff, kind, dps)
+    with mpmath.workdps(HP_DPS):
+        element = _hp_mode_element((p1, x1), (p2, x2), cutoff, kind)
         return complex(element * _hp_phase(theta1, theta2))
 
 
@@ -729,10 +728,6 @@ class CommutatorCheckReport:
     max_deviation: float
     per_bracket: dict
 
-    @property
-    def clean(self) -> bool:
-        return self.max_deviation < 1e-10
-
 
 def _safe_max(op: OffsetOperator, top: int) -> float:
     """Largest |<r|A|r + d>| with every occupation of r and r + d at most
@@ -861,34 +856,33 @@ class FlowReport:
     steps: int
     dt: float
 
-    @property
-    def clean(self) -> bool:
-        return self.max_deviation < 1e-6 and self.norm_drift < 1e-8
+
+FLOW_SAMPLE_EVERY = 50  # RK4 steps between the samples the two flow routes compare
 
 
-def _rk4(gen: np.ndarray, y0: np.ndarray, dt: float, steps: int, sample_every: int) -> np.ndarray:
+def _rk4(gen: np.ndarray, y0: np.ndarray, dt: float, steps: int, every: int) -> np.ndarray:
     """Classical RK4 for the linear equation y' = gen y, sampled every
-    `sample_every` steps and at the last step.
+    `every` steps and at the last step.
 
     For a linear right-hand side one RK4 step is exactly the matrix
     polynomial M = sum_{k<=4} (dt gen)^k / k!, so M is built once and each
-    sample advances by M^sample_every; a remainder power reaches `steps`.
+    sample advances by M^every; a remainder power reaches `steps`.
     """
-    if steps < 1 or sample_every < 1:
-        raise ValueError(f"need at least one step and one step per sample, got {steps} and {sample_every}")
+    if steps < 1 or every < 1:
+        raise ValueError(f"need at least one step and one step per sample, got {steps} and {every}")
     hg = dt * np.asarray(gen)
     eye = np.eye(hg.shape[0])
     step = eye
     for k in (4, 3, 2, 1):
         step = eye + (hg / k) @ step
-    stride = np.linalg.matrix_power(step, sample_every)
+    stride = np.linalg.matrix_power(step, every)
     y = np.asarray(y0).copy()
     samples = [y]
-    for _ in range(steps // sample_every):
+    for _ in range(steps // every):
         y = stride @ y
         samples.append(y)
-    if steps % sample_every:
-        y = np.linalg.matrix_power(step, steps % sample_every) @ y
+    if steps % every:
+        y = np.linalg.matrix_power(step, steps % every) @ y
         samples.append(y)
     return np.array(samples)
 
@@ -906,7 +900,6 @@ def projective_flow_check(
     initial: StateVector,
     t_final: float = 10.0,
     dt: float = 1e-3,
-    sample_every: int = 50,
 ) -> FlowReport:
     """Integrate the same ray flow two ways and compare.
 
@@ -929,15 +922,15 @@ def projective_flow_check(
     if not abs(np.linalg.norm(c0) - 1.0) <= 1e-6:
         raise ValueError("initial state must be normalized")
 
-    path_a = _rk4(-1j * h, c0, dt, steps, sample_every)
+    path_a = _rk4(-1j * h, c0, dt, steps, FLOW_SAMPLE_EVERY)
     y0 = np.concatenate([c0.real, c0.imag])
-    path_b = _rk4(_canonical_generator(h), y0, dt, steps, sample_every)
+    path_b = _rk4(_canonical_generator(h), y0, dt, steps, FLOW_SAMPLE_EVERY)
     n = c0.size
     path_b_c = path_b[:, :n] + 1j * path_b[:, n:]
 
     deviation = float(np.abs(path_a - path_b_c).max())
     norms = np.linalg.norm(path_a, axis=1)
     drift = float(np.abs(norms - np.linalg.norm(c0)).max())
-    path_half = _rk4(-1j * h, c0, dt / 2.0, int(round(t_final / (dt / 2.0))), 2 * sample_every)
+    path_half = _rk4(-1j * h, c0, dt / 2.0, int(round(t_final / (dt / 2.0))), 2 * FLOW_SAMPLE_EVERY)
     halving = float(np.abs(path_a - path_half).max())
     return FlowReport(deviation, drift, halving, steps, dt)

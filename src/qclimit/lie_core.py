@@ -230,25 +230,8 @@ def build_standard_algebra(name: str) -> StructureConstantTable:
 
 
 # ---------------------------------------------------------------------------
-# bracket evaluation and axiom verification
+# axiom verification
 # ---------------------------------------------------------------------------
-
-
-def bracket(
-    table: StructureConstantTable, u: np.ndarray, v: np.ndarray, eps: float = 0.0
-) -> np.ndarray:
-    """Coefficient vector of [u . T, v . T] at the given eps (i convention implicit)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (table.dimension,) or v.shape != (table.dimension,):
-        raise ValueError(
-            f"coefficient vectors must have length {table.dimension}, "
-            f"got {u.shape} and {v.shape}"
-        )
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    c = table.coefficient_tensor(eps)
-    return np.einsum("a,b,abc->c", u, v, c)
 
 
 @dataclass(frozen=True)
@@ -258,10 +241,6 @@ class VerificationReport:
     antisymmetry_max: float
     jacobi_max: float
     eps_samples: tuple[float, ...]
-
-    @property
-    def clean(self) -> bool:
-        return self.antisymmetry_max == 0.0 and self.jacobi_max < 1e-12
 
 
 def _jacobi_residual(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:

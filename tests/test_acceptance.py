@@ -17,8 +17,8 @@ from qclimit import cli
 
 @pytest.fixture(scope="module")
 def battery():
-    records, timings, _ = cli.run_battery(seed=7)
-    return cli.battery_by_criterion(records), timings
+    grouped, timings, _ = cli.run_battery(seed=7)
+    return grouped, timings
 
 
 def _assert_criterion(battery, number):
@@ -102,6 +102,14 @@ def test_criterion_12_determinism(battery, tmp_path):
     csv_a = (dirs[0] / "contract_sweep.csv").read_bytes()
     csv_b = (dirs[1] / "contract_sweep.csv").read_bytes()
     assert csv_a == csv_b
+
+
+def test_battery_groups_records_by_criterion(battery):
+    grouped, timings = battery
+    assert list(grouped) == list(timings) == list(range(1, 13))
+    for number, records in grouped.items():
+        assert records
+        assert all(r.check_id.startswith(f"C{number:02d}.") for r in records)
 
 
 def test_battery_report_writes_pass_as_json_bool(battery):

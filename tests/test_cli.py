@@ -188,6 +188,8 @@ def test_contract_sweep_pinned_example(tmp_path):
         # one k value: nothing to fit a slope to
         ("2", ["closed-form-decay", "fock-decay"]),
         ("1,2,4", ["closed-form-decay", "fock-decay", "decay-slope"]),
+        # k = 40 needs cutoff 6400 > 4096: one Fock record, so the slope is fitted on the closed form
+        ("1,40", ["closed-form-decay", "fock-decay", "decay-slope"]),
     ],
 )
 def test_contract_sweep_checks_follow_the_sweep_records(tmp_path, k, check_ids):
@@ -220,6 +222,7 @@ LAW_CHECKS = [
     (cli, "overlap_spot_check", ("coherent-overlap",)),
     (cli, "decay_law_check", ("contract-sweep",)),
     (cli.star_product, "canonical_commutator_check", ("star-bracket",)),
+    (cli, "classical_limit_check", ("star-limit-sweep",)),
     (cli, "group_law_check", ("coset-compose",)),
     (cli, "flow_law_check", ("flow-check", "--t-final", "2.0")),
 ]
@@ -286,11 +289,22 @@ def test_star_limit_sweep_slope(tmp_path):
     assert abs(check_by_id(report, "limit-slope")["measured"] - 2.0) < 1e-6
 
 
-def test_star_limit_sweep_quadratic_pair_empty_report(tmp_path):
+def test_star_limit_sweep_quadratic_pair_reports_exact_limit(tmp_path):
+    # every deviation is exactly 0: no slope to fit, one exact check instead
     code, report = run_cli(tmp_path, "star-limit-sweep", "--f", "x^2+p^2", "--g", "x*p")
     assert code == 0
-    assert report["checks"] == []
-    assert report["summary"] == {"total": 0, "passed": 0, "failed": 0}
+    assert [c["check_id"] for c in report["checks"]] == ["limit-exact"]
+    exact = check_by_id(report, "limit-exact")
+    assert (exact["measured"], exact["tolerance"], exact["pass"]) == (0.0, 0.0, True)
+
+
+@pytest.mark.parametrize("hbar", ["0.1", "0.1,0.1"])
+def test_star_limit_sweep_without_two_distinct_hbar_fails(tmp_path, capsys, hbar):
+    code, report = run_cli(tmp_path, "star-limit-sweep", "--hbar", hbar)
+    assert code == 1
+    assert report["error"].startswith("ValueError: need a nonzero bracket deviation at two or more distinct hbar")
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from qclimit.contraction_lab import (
     ContractionRunConfig,
     canonical_pair,
     decay_slope,
+    FOCK_MAX_CUTOFF,
     eigenvalue_residual,
     gram_matrix,
     hbar_effective,
@@ -85,12 +86,23 @@ def test_sweep_fock_route_tracks_closed_form():
 
 
 def test_sweep_skips_fock_beyond_cutoff_budget():
-    config = ContractionRunConfig(
-        k_values=(6.0,), pairs=(canonical_pair(),), fock_max_cutoff=100
-    )
-    records = overlap_decay_sweep(config)
-    assert [r.backend for r in records] == ["closed_form"]
-    assert records[0].cutoff == 144
+    # k = 32 needs exactly FOCK_MAX_CUTOFF = 4096 and keeps the Fock route; k = 33 does not
+    pair = canonical_pair()
+    assert required_cutoff(32.0, pair) == FOCK_MAX_CUTOFF == 4096
+    assert required_cutoff(33.0, pair) == 4356
+    records = overlap_decay_sweep(ContractionRunConfig(k_values=(32.0, 33.0), pairs=(pair,)))
+    assert [(r.k, r.backend, r.cutoff) for r in records] == [
+        (32.0, "closed_form", 4096),
+        (32.0, "fock", 4096),
+        (33.0, "closed_form", 4356),
+    ]
+    assert records[1].abs_err < 1e-12
+    closed, fock = gram_matrix(32.0, pair)
+    assert fock is not None and fock.shape == closed.shape == (2, 2)
+    assert abs(fock[0, 1] - closed[0, 1]) < 1e-12 and abs(fock[0, 0] - 1.0) < 1e-12
+    closed, fock = gram_matrix(33.0, pair)
+    assert fock is None
+    assert abs(abs(closed[0, 1]) - math.exp(-0.25 * 33.0**2)) <= 1e-12 * math.exp(-0.25 * 33.0**2)
 
 
 def test_decay_slope_matches_quarter_rate():

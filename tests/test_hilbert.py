@@ -345,7 +345,7 @@ def test_fock_gram_hp_matches_fsum_reference_on_the_label_grid(kind):
 
     ref = _fsum_reference(GRID_LABELS, GRID_LABELS, 64, kind)
     got = fock_gram_hp(GRID_LABELS, GRID_LABELS, 64, kind)
-    re, im, frac = _fock_gram_fixed(GRID_LABELS, GRID_LABELS, 64, kind, 30)
+    re, im, frac = _fock_gram_fixed(GRID_LABELS, GRID_LABELS, 64, kind)
     assert got.shape == (25, 25)
     with mpmath.workdps(50):
         for i, j in itertools.product(range(25), repeat=2):
@@ -756,8 +756,8 @@ def test_rotation_preserves_overlaps():
 def test_operator_brackets_match_structure_constants():
     space = build_fock_space(3, 10)
     report = operator_commutator_check(space)
-    assert report.clean
-    assert report.max_deviation < 1e-10
+    # C07's tolerance
+    assert report.max_deviation <= 1e-10
     assert len(report.per_bracket) == 45
 
 
@@ -819,7 +819,7 @@ def test_operator_bracket_check_propagates_nan():
     report = operator_commutator_check(build_fock_space(3, 6), make_table("poisoned", good.generators, poisoned))
     assert math.isnan(report.per_bracket["X2,P2"])
     assert math.isnan(report.max_deviation)
-    assert not report.clean
+    assert not report.max_deviation <= 1e-10
 
 
 def test_operator_bracket_check_flags_wrong_table():
@@ -906,7 +906,6 @@ def test_flow_routes_agree_for_harmonic_hamiltonian():
     assert report.max_deviation < 1e-9
     assert report.norm_drift < 1e-10
     assert report.halving_deviation < 1e-9
-    assert report.clean
 
 
 def test_flow_matches_exact_propagator():
@@ -942,10 +941,11 @@ def test_complex_hamiltonian_flow_matches_exact_propagator():
     assert np.abs(route_b[:n] + 1j * route_b[n:] - exact).max() < 1e-9
     report = projective_flow_check(space, h, initial, t_final=t_final, dt=dt)
     assert report.max_deviation < 1e-9
-    assert report.clean
+    # C11's norm-drift tolerance
+    assert report.norm_drift <= 1e-8
 
 
-def _loop_rk4(gen, y0, dt, steps, sample_every):
+def _loop_rk4(gen, y0, dt, steps, every):
     """Test-local reference: the four-stage RK4 loop, one step at a time."""
     y = y0.copy()
     samples = [y.copy()]
@@ -955,7 +955,7 @@ def _loop_rk4(gen, y0, dt, steps, sample_every):
         k3 = gen @ (y + 0.5 * dt * k2)
         k4 = gen @ (y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % sample_every == 0 or step == steps:
+        if step % every == 0 or step == steps:
             samples.append(y.copy())
     return np.array(samples)
 

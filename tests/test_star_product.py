@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qclimit import star_product
 from qclimit.star_product import (
     CRAT_ONE,
     CRat,
@@ -353,8 +354,16 @@ def test_harmonic_flow_follows_classical_rotation():
     assert out["max_coefficient_error"] < 1e-10
 
 
-def test_harmonic_flow_keeps_nan_error():
-    # RK4 at step 1e9 overflows to inf, and inf * 0 in the generator product gives NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = harmonic_evolution_check(t_values=(1.0, 1e10), dt=1e9)
+def test_harmonic_flow_keeps_nan_error(monkeypatch):
+    # a NaN coefficient at the last of the three times must survive the maximum
+    real_rk4, calls = star_product._rk4, []
+
+    def rk4(*args):
+        calls.append(args)
+        path = real_rk4(*args)
+        return np.full_like(path, math.nan) if len(calls) == 3 else path
+
+    monkeypatch.setattr(star_product, "_rk4", rk4)
+    out = harmonic_evolution_check()
+    assert len(calls) == 3
     assert math.isnan(out["max_coefficient_error"])
