@@ -21,7 +21,6 @@ import numpy as np
 from qclimit.hilbert import (
     FockSpace,
     StateVector,
-    apply_quadrature,
     build_fock_space,
     coherent_overlap_formula,
     coherent_state,
@@ -178,7 +177,7 @@ def write_decay_csv(records, path) -> None:
             )
 
 
-def decay_slope(records, pair_id: int, backend: str = "fock") -> float:
+def decay_slope(records, pair_id: int, backend: str) -> float:
     """Least-squares slope of log|overlap| against k^2 for one pair."""
     pts = [
         (r.k * r.k, math.log(r.overlap_abs))
@@ -201,8 +200,8 @@ def eigenvalue_residual(k: float, p_c: float, x_c: float) -> dict:
     space = build_fock_space(1, cutoff)
     state = relabel_coherent(space, k, p_c, x_c)
     c = state.coefficients
-    rx = float(np.linalg.norm(apply_quadrature(space, "X", 1, c) / k - x_c * c))
-    rp = float(np.linalg.norm(apply_quadrature(space, "P", 1, c) / k - p_c * c))
+    rx = float(np.linalg.norm(space.x_op() @ c / k - x_c * c))
+    rp = float(np.linalg.norm(space.p_op() @ c / k - p_c * c))
     return {
         "k": float(k),
         "hbar": hbar_effective(k),

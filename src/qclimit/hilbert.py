@@ -13,16 +13,16 @@ Conventions, fixed once and used everywhere:
 
 Per mode, everything is derived from one ladder vector sqrt(1..N), the
 superdiagonal of the truncated annihilator.  The coherent coefficients are
-one running product of exp(-|alpha|^2/2) and alpha/sqrt(n).  X and P act on
-states through their two bands, matrix-free (apply_quadrature).  Where an
-operator is itself the object (the bracket check C07, the flow Hamiltonian,
-the rotation generators j_op) it is an OffsetOperator: per offset d between
-occupation tuples, the array of entries <r|A|r + d>, so a product of banded
-operators is a few shifted array products.  The truncated X is a Jacobi
-matrix whose spectrum X = V L V^T (one symmetric eigensolve per mode
-dimension, cached) gives every Weyl factor
-exactly on the truncated space (Golub-Welsch 1969): exp(i a X) =
-V exp(i a L) V^T, and P = D X D^dagger with D = diag(i^n).  Building a
+one running product of exp(-|alpha|^2/2) and alpha/sqrt(n).  Every operator
+(x_op, p_op, the rotation generators j_axis_op, identity) is an
+OffsetOperator: per offset d between occupation tuples, the array of entries
+<r|A|r + d>, so a product of banded operators is a few shifted array
+products and an operator acts on a state with no matrix formed; matrix
+elements and the bracket check C07 go through the same operators.  The
+truncated X is a Jacobi matrix whose spectrum X = V L V^T (one symmetric
+eigensolve per mode dimension, cached) gives every Weyl factor exactly on
+the truncated space (Golub-Welsch 1969): exp(i a X) = V exp(i a L) V^T,
+and P = D X D^dagger with D = diag(i^n).  Building a
 space and checking its ladder cost O(N).  Weyl factors are applied through
 V^T, a diagonal and V, never formed (f(A) b without f(A), Higham 2008,
 ch. 13): O(N^2) per mode per vector.
@@ -116,17 +116,15 @@ class FockSpace:
     def p_op(self, mode: int = 1) -> "OffsetOperator":
         return self._lift("P", mode)
 
-    def j_op(self, i: int, j: int) -> "OffsetOperator":
-        """Rotation generator J_ij = X_j P_i - X_i P_j (two distinct modes)."""
+    def j_axis_op(self, axis: int) -> "OffsetOperator":
+        """Rotation generator J_axis = J_ij = X_j P_i - X_i P_j, with (i, j)
+        the cyclic index pair dual to `axis`."""
         if self.modes != 3:
             raise ValueError("rotation generators need modes = 3")
-        if i == j:
-            raise ValueError("J_ii vanishes identically")
-        return self.x_op(j) @ self.p_op(i) - self.x_op(i) @ self.p_op(j)
-
-    def j_axis_op(self, axis: int) -> "OffsetOperator":
+        if axis not in _DUAL_PAIR:
+            raise ValueError(f"rotation axis must be 1, 2 or 3, got {axis}")
         i, j = _DUAL_PAIR[axis]
-        return self.j_op(i, j)
+        return self.x_op(j) @ self.p_op(i) - self.x_op(i) @ self.p_op(j)
 
     def identity(self) -> "OffsetOperator":
         grid = (self.mode_dim,) * self.modes
@@ -411,26 +409,11 @@ def matrix_element_formula(kind: str, axis: int, p1, x1, theta1, p2, x2, theta2)
     return re + 1j * (pref.real * ovl.imag + pref.imag * ovl.real)
 
 
-def apply_quadrature(space: FockSpace, kind: str, axis: int, coefficients: np.ndarray) -> np.ndarray:
-    """X or P of mode `axis` (1-based) applied to a coefficient vector through
-    its two bands, with no operator formed.  On the (n^(axis-1), n, rest) view,
-    row m gets sub[m-1] t[m-1] + sup[m] t[m+1], the two products the sparse
-    matvec sums, so the result equals x_op(axis) @ c (or p_op) bit for bit."""
+def matrix_element(space: FockSpace, kind: str, axis: int, s1: StateVector, s2: StateVector) -> complex:
+    """<s1|O|s2> for O = X or P of mode `axis` (1-based)."""
     if kind not in ("X", "P"):
         raise ValueError("kind must be 'X' or 'P'")
-    if not 1 <= axis <= space.modes:
-        raise ValueError(f"mode {axis} out of range for {space.modes} modes")
-    n = space.mode_dim
-    sub, sup = _quadrature_bands(n)[kind]
-    t = np.asarray(coefficients, dtype=complex).reshape(n ** (axis - 1), n, -1)
-    out = np.zeros_like(t)
-    out[:, :-1] = sup[:, None] * t[:, 1:]
-    out[:, 1:] += sub[:, None] * t[:, :-1]
-    return out.reshape(-1)
-
-
-def matrix_element(space: FockSpace, kind: str, axis: int, s1: StateVector, s2: StateVector) -> complex:
-    return complex(np.vdot(s1.coefficients, apply_quadrature(space, kind, axis, s2.coefficients)))
+    return complex(np.vdot(s1.coefficients, space._lift(kind, axis) @ s2.coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +520,7 @@ def _fock_gram_fixed(rows, cols, cutoff: int, kind: str) -> tuple:
     return re, im, frac
 
 
-def fock_gram_hp(rows, cols, cutoff: int, kind: str = "c") -> np.ndarray:
+def fock_gram_hp(rows, cols, cutoff: int, kind: str) -> np.ndarray:
     """<r|O|c> on the 1D Fock space truncated at `cutoff`, for every row label
     r = (p, x) and column label c, with O the identity ("c"), X or P; a
     complex array of shape (len(rows), len(cols)).
@@ -752,23 +735,25 @@ def operator_commutator_check(space: FockSpace, table=None) -> CommutatorCheckRe
     if table is None:
         table = build_standard_algebra("HR3")
 
-    ops = {}
-    for axis, name in ((1, "J23"), (2, "J31"), (3, "J12")):
-        ops[name] = space.j_axis_op(axis)
-    for i in (1, 2, 3):
-        ops[f"X{i}"] = space.x_op(i)
-        ops[f"P{i}"] = space.p_op(i)
-    ops["I"] = space.identity()
+    realize = {"rotation": space.j_axis_op, "position": space.x_op, "momentum": space.p_op}
+    ops = []
+    for g in table.generators:
+        if g.role == "central":
+            ops.append(space.identity())
+        elif g.role in realize:
+            ops.append(realize[g.role](g.axis))
+        else:
+            raise ValueError(f"generator {g.name} ({g.role}) has no operator on the Fock space")
 
     top = space.cutoff - 2
     names = [g.name for g in table.generators]
     detail = {}
     for ia in range(len(names)):
         for ib in range(ia + 1, len(names)):
-            a, b = ops[names[ia]], ops[names[ib]]
+            a, b = ops[ia], ops[ib]
             delta = a @ b - b @ a
             for tgt, coeff, _ in table.entries.get((ia, ib), ()):
-                delta = delta - 1j * coeff * ops[names[tgt]]
+                delta = delta - 1j * coeff * ops[tgt]
             detail[f"{names[ia]},{names[ib]}"] = _safe_max(delta, top)
     return CommutatorCheckReport(float(np.max(list(detail.values()))), detail)
 
@@ -898,8 +883,8 @@ def projective_flow_check(
     space: FockSpace,
     hamiltonian,
     initial: StateVector,
-    t_final: float = 10.0,
-    dt: float = 1e-3,
+    t_final: float,
+    dt: float,
 ) -> FlowReport:
     """Integrate the same ray flow two ways and compare.
 

@@ -6,11 +6,17 @@ Brackets are stored in the convention
 
 with real ``coeff`` and ``eps = 1/k**2`` the contraction parameter, so the
 tables stay real and the k -> infinity limit is an exact truncation of the
-terms with positive ``power`` rather than a numerical limit.
+terms with positive ``power`` rather than a numerical limit; the table at a
+finite k is ``coefficient_tensor(1/k**2)`` of the rescaled family.
+
+The rotation sector of HR3 comes from one rule: every vector generator
+T in {J, X, P} obeys [J_a, T_b] = -i eps_abc T_c, with J_1, J_2, J_3 the
+rotations J23, J31, J12.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,52 +126,6 @@ def make_table(
 # ---------------------------------------------------------------------------
 
 
-def _pair_to_dual(i: int, j: int) -> tuple[int, float] | None:
-    """Antisymmetric index pair -> (dual rotation axis, sign), None if i == j."""
-    if i == j:
-        return None
-    for axis, (h, k) in _DUAL_PAIR.items():
-        if (i, j) == (h, k):
-            return axis, 1.0
-        if (i, j) == (k, h):
-            return axis, -1.0
-    raise ValueError(f"bad index pair ({i}, {j})")
-
-
-def rotation_rotation_bracket(i: int, j: int, h: int, k: int) -> dict[int, float]:
-    """[J_ij, J_hk] expanded onto the three independent rotation generators.
-
-    Returns a map dual-axis -> coefficient (of i * J_axis).  The sign layout
-    is the unique one compatible with the Jacobi identity given the J-vector
-    brackets; see tests for the closure and adjoint-matrix cross-checks.
-    """
-    out: dict[int, float] = {}
-    for sign, (delta_a, delta_b), (r, s) in (
-        (-1.0, (j, k), (i, h)),
-        (+1.0, (j, h), (i, k)),
-        (-1.0, (i, h), (j, k)),
-        (+1.0, (i, k), (j, h)),
-    ):
-        if delta_a != delta_b:
-            continue
-        dual = _pair_to_dual(r, s)
-        if dual is None:
-            continue
-        axis, dsign = dual
-        out[axis] = out.get(axis, 0.0) + sign * dsign
-    return {a: c for a, c in out.items() if c != 0.0}
-
-
-def rotation_vector_bracket(i: int, j: int, k: int) -> dict[int, float]:
-    """[J_ij, V_k] for a spatial vector V: map axis -> coefficient of i*V_axis."""
-    out: dict[int, float] = {}
-    if j == k:
-        out[i] = out.get(i, 0.0) + 1.0
-    if i == k:
-        out[j] = out.get(j, 0.0) - 1.0
-    return {a: c for a, c in out.items() if c != 0.0}
-
-
 def build_standard_algebra(name: str) -> StructureConstantTable:
     """The ten-generator rotation + Heisenberg algebra, or its eleven-generator
     variant with a Hamiltonian generator appended.
@@ -195,27 +155,12 @@ def build_standard_algebra(name: str) -> StructureConstantTable:
     zero = Fraction(0)
     half: dict[tuple[int, int], tuple[Term, ...]] = {}
 
-    # rotation-rotation, via the four-index expansion on the dual basis
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            if jdx[a] >= jdx[b]:
-                continue
-            expansion = rotation_rotation_bracket(*_DUAL_PAIR[a], *_DUAL_PAIR[b])
-            half[(jdx[a], jdx[b])] = tuple(
-                (jdx[axis], coeff, zero) for axis, coeff in sorted(expansion.items())
-            )
-
-    # rotation-position and rotation-momentum
-    for a in (1, 2, 3):
-        i, j = _DUAL_PAIR[a]
-        for k in (1, 2, 3):
-            for vdx in (xdx, pdx):
-                expansion = rotation_vector_bracket(i, j, k)
-                terms = tuple(
-                    (vdx[axis], coeff, zero) for axis, coeff in sorted(expansion.items())
-                )
-                if terms:
-                    half[(jdx[a], vdx[k])] = terms
+    # rotations act on every vector generator T in {J, X, P}: [J_a, T_b] = -i eps_abc T_c
+    for vdx in (jdx, xdx, pdx):
+        for a, b, c in itertools.permutations((1, 2, 3)):
+            if jdx[a] < vdx[b]:
+                levi_civita = (a - b) * (b - c) * (c - a) / 2
+                half[(jdx[a], vdx[b])] = ((vdx[c], -levi_civita, zero),)
 
     # canonical pairs
     for i in (1, 2, 3):
@@ -336,23 +281,6 @@ def standard_contraction_family(name: str = "HR3") -> ContractionFamily:
         for g in table.generators
     }
     return ContractionFamily(table, weights)
-
-
-def apply_contraction(family: ContractionFamily, k: float) -> StructureConstantTable:
-    """Numeric table for the rescaled basis at finite k (eps = 1/k**2 folded in)."""
-    if k < 1:
-        raise ValueError("contraction parameter k must be >= 1")
-    eps = 1.0 / (k * k)
-    sym = family.rescaled
-    entries = {
-        pair: tuple((tgt, coeff * _eps_pow(eps, power), Fraction(0)) for tgt, coeff, power in terms)
-        for pair, terms in sym.entries.items()
-    }
-    entries = {
-        pair: tuple(t for t in terms if t[1] != 0.0) for pair, terms in entries.items()
-    }
-    entries = {pair: terms for pair, terms in entries.items() if terms}
-    return StructureConstantTable(f"{family.base.name}_k={k:g}", sym.generators, entries)
 
 
 def limit_algebra(family: ContractionFamily) -> StructureConstantTable:

@@ -531,7 +531,7 @@ def canonical_commutator_check(dims: int, max_degree: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def classical_limit_sweep(f: PhasePolynomial, g: PhasePolynomial, hbar_values=(1e-1, 1e-2, 1e-3), seed: int = 7) -> dict:
+def classical_limit_sweep(f: PhasePolynomial, g: PhasePolynomial, seed: int, hbar_values=(1e-1, 1e-2, 1e-3)) -> dict:
     """Deviation of the deformed bracket from the Poisson bracket at 25
     points drawn from the box [-1, 1)^(2d), with the log-log convergence slope
     (2 when the first correction survives).  A NaN error at any hbar makes the

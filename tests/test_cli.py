@@ -64,6 +64,15 @@ def test_algebra_contract_reports_central_coefficient(tmp_path):
     assert check_by_id(report, "C02.center-absent")["measured"] == 0.0
 
 
+def test_algebra_contract_rejects_k_below_one(tmp_path, capsys):
+    # --k 0.5 passes the parser (> 0) but has no contraction: a diagnostic, exit 1
+    code, report = run_cli(tmp_path, "algebra-contract", "--k", "0.5")
+    assert code == 1
+    assert report["error"] == "ValueError: contraction parameter k must be >= 1"
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_coset_compose_both_kinds(tmp_path):
     code, report = run_cli(tmp_path, "coset-compose", "--samples", "80")
     assert code == 0
@@ -305,6 +314,36 @@ def test_star_limit_sweep_without_two_distinct_hbar_fails(tmp_path, capsys, hbar
     assert report["error"].startswith("ValueError: need a nonzero bracket deviation at two or more distinct hbar")
     assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # the limit slope 2 holds only for hbar-free polynomials
+        (("star-limit-sweep", "--f", "hbar*x^3", "--g", "p^3"), "ValueError: --f 'hbar*x^3' contains hbar"),
+        (("star-limit-sweep", "--g", "p^3 + hbar^2*x"), "ValueError: --g 'p^3 + hbar^2*x' contains hbar"),
+        # the grid backend is 1D: --modes 3 would report no three-mode check
+        (("coherent-overlap", "--backend", "grid", "--modes", "3"), "ValueError: --modes 3 needs --backend fock"),
+    ],
+)
+def test_inputs_whose_checks_measure_nothing_write_a_diagnostic_report(tmp_path, capsys, argv, error):
+    code, report = run_cli(tmp_path, *argv)
+    assert code == 1
+    assert report["error"].startswith(error)
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_battery_seed_reaches_the_classical_limit_sweep(monkeypatch):
+    sweep, seeds = cli.star_product.classical_limit_sweep, []
+
+    def spy(f, g, seed, **kwargs):
+        seeds.append(seed)
+        return sweep(f, g, seed, **kwargs)
+
+    monkeypatch.setattr(cli.star_product, "classical_limit_sweep", spy)
+    cli.CRITERION_RUNNERS[10][1](np.random.default_rng(8), 8)
+    assert seeds == [8]
 
 
 @pytest.mark.parametrize(
@@ -550,6 +589,9 @@ def test_import_and_all_load_no_scipy(tmp_path):
         (("contract-sweep", "--k", "1,inf"), "argument --k: inf is not a finite positive value"),
         (("contract-sweep", "--k", "1,nan"), "argument --k: nan is not a finite positive value"),
         (("contract-sweep", "--k", "1,,2"), "argument --k: '1,,2' is not a comma-separated list of numbers"),
+        # a pair with no label separation has no decay to measure
+        (("contract-sweep", "--pair", "dx=0,dp=0"), "argument --pair: 'dx=0,dp=0' separates no labels"),
+        (("contract-sweep", "--pair", "dx=0"), "argument --pair: 'dx=0' separates no labels"),
     ],
 )
 def test_bad_input_rejected_at_parser(tmp_path, capsys, argv, message):

@@ -307,8 +307,9 @@ def test_contracted_action_rejects_small_k():
         contracted_action("config", params, (np.zeros(3), 0.0), float("nan"))
 
 
-def _old_group_element(kind, w, rotation=None):
-    """Per-label builder as it stood before the batched one."""
+def _block_layout(kind, w, rotation=None):
+    """One group element written out block by block (the layout that
+    test_group_element_phase_blocks pins), independent of coset_rep's builders."""
     r = np.eye(3) if rotation is None else rotation
     if kind == "phase":
         m = np.eye(8)
@@ -346,12 +347,11 @@ def test_group_elements_stack_matches_per_label_builder(kind):
     assert stack.shape == (50, KIND_DIMS[kind], KIND_DIMS[kind])
     for i in range(50):
         w = WeylLabel(p[i], x[i], theta[i])
-        np.testing.assert_array_equal(stack[i], _old_group_element(kind, w))
-        np.testing.assert_array_equal(group_element(kind, w).entries, stack[i])
+        np.testing.assert_array_equal(stack[i], _block_layout(kind, w))
     r = rotation_from_omega([0.3, -0.2, 0.9])
     rotated = group_elements(kind, p, x, theta, r)
     for i in range(50):
-        want = _old_group_element(kind, WeylLabel(p[i], x[i], theta[i]), r)
+        want = _block_layout(kind, WeylLabel(p[i], x[i], theta[i]), r)
         np.testing.assert_allclose(rotated[i], want, rtol=1e-15, atol=1e-15)
 
 

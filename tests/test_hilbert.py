@@ -14,7 +14,6 @@ from qclimit.hilbert import (
     GridSpace,
     StateVector,
     TruncationGuardError,
-    apply_quadrature,
     build_fock_space,
     coherent_overlap_formula,
     coherent_state,
@@ -158,9 +157,9 @@ def test_safe_mask_excludes_top_two_levels():
 
 def test_rotation_generator_needs_three_modes():
     with pytest.raises(ValueError, match="modes"):
-        build_fock_space(1, 4).j_op(1, 2)
-    with pytest.raises(ValueError, match="vanishes"):
-        build_fock_space(3, 3).j_op(2, 2)
+        build_fock_space(1, 4).j_axis_op(3)
+    with pytest.raises(ValueError, match="axis must be 1, 2 or 3"):
+        build_fock_space(3, 3).j_axis_op(4)
 
 
 def test_rotation_generators_are_hermitian_and_kill_vacuum():
@@ -503,16 +502,20 @@ def test_band_quadratures_equal_the_sparse_matvec_bit_for_bit(modes, cutoff):
         for _ in range(3):
             c = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
             for kind in ("X", "P"):
-                assert np.array_equal(apply_quadrature(space, kind, axis, c), _csr_quadrature(space, kind, axis) @ c)
+                op = space.x_op(axis) if kind == "X" else space.p_op(axis)
+                want = _csr_quadrature(space, kind, axis) @ c
+                assert np.array_equal(op @ c, want)
+                s = StateVector("fock", space, c)
+                assert matrix_element(space, kind, axis, s, s) == complex(np.vdot(c, want))
 
 
-def test_apply_quadrature_rejects_unknown_kind_and_mode():
+def test_matrix_element_rejects_unknown_kind_and_mode():
     space = build_fock_space(3, 4)
-    c = np.ones(space.dim, dtype=complex)
+    s = vacuum_state(space)
     with pytest.raises(ValueError, match="kind must be 'X' or 'P'"):
-        apply_quadrature(space, "J", 1, c)
+        matrix_element(space, "J", 1, s, s)
     with pytest.raises(ValueError, match="mode 4 out of range"):
-        apply_quadrature(space, "X", 4, c)
+        matrix_element(space, "X", 4, s, s)
 
 
 def test_cached_quadrature_bands_are_read_only():
@@ -1014,16 +1017,16 @@ def test_flow_validates_inputs():
     bad = np.triu(np.ones((space.dim, space.dim)))
     initial = coherent_state(space, 0.1, 0.1)
     with pytest.raises(ValueError, match="Hermitian"):
-        projective_flow_check(space, bad, initial, t_final=0.1)
+        projective_flow_check(space, bad, initial, t_final=0.1, dt=1e-3)
     from qclimit.hilbert import StateVector
 
     unnorm = StateVector("fock", space, 2.0 * initial.coefficients)
     with pytest.raises(ValueError, match="normalized"):
-        projective_flow_check(space, _harmonic(space), unnorm, t_final=0.1)
+        projective_flow_check(space, _harmonic(space), unnorm, t_final=0.1, dt=1e-3)
     nan_h = _harmonic(space)
     nan_h[0, 0] = math.nan
     with pytest.raises(ValueError, match="Hermitian"):
-        projective_flow_check(space, nan_h, initial, t_final=0.1)
+        projective_flow_check(space, nan_h, initial, t_final=0.1, dt=1e-3)
     nan_state = StateVector("fock", space, np.full(space.dim, math.nan + 0j))
     with pytest.raises(ValueError, match="normalized"):
-        projective_flow_check(space, _harmonic(space), nan_state, t_final=0.1)
+        projective_flow_check(space, _harmonic(space), nan_state, t_final=0.1, dt=1e-3)

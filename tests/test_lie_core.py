@@ -8,12 +8,9 @@ from qclimit.lie_core import (
     ContractionFamily,
     GeneratorLabel,
     StructureConstantTable,
-    apply_contraction,
     build_standard_algebra,
     limit_algebra,
     make_table,
-    rotation_rotation_bracket,
-    rotation_vector_bracket,
     standard_contraction_family,
     verify_algebra,
     verify_algebra_symbolic,
@@ -73,18 +70,29 @@ def test_hamiltonian_variant_entries():
 def adjoint_vector_matrices():
     """The 3x3 matrices rho(J_a) acting on the vector sector.
 
-    rho is fixed by the J-vector brackets: the terms of [J_a, V_k] are the
-    column k of rho(J_a).  Closure of these matrices under commutation is an
-    oracle for the J-J sector that is independent of the table construction.
+    From J_ij = X_j P_i - X_i P_j and [X_k, P_l] = i delta_kl,
+    [J_ij, X_k] = i (delta_jk X_i - delta_ik X_j), so rho(J_ij) = E_ij - E_ji
+    with E_ij the matrix unit.  Closure of these matrices under commutation is
+    an oracle for the J-J sector that is independent of the table construction.
     """
     rho = {}
     for axis, (i, j) in ((1, (2, 3)), (2, (3, 1)), (3, (1, 2))):
         m = np.zeros((3, 3))
-        for k in (1, 2, 3):
-            for target, coeff in rotation_vector_bracket(i, j, k).items():
-                m[target - 1, k - 1] = coeff
+        m[i - 1, j - 1], m[j - 1, i - 1] = 1.0, -1.0
         rho[axis] = m
     return rho
+
+
+def test_vector_sector_matches_the_canonical_realization():
+    """[J_a, V_k] in the table is column k of rho(J_a), for V = X and P."""
+    t = build_standard_algebra("HR3")
+    rho = adjoint_vector_matrices()
+    for axis, name in ((1, "J23"), (2, "J31"), (3, "J12")):
+        for kind in "XP":
+            for k in (1, 2, 3):
+                want = tuple((t.index(f"{kind}{c}"), rho[axis][c - 1, k - 1], Fraction(0))
+                             for c in (1, 2, 3) if rho[axis][c - 1, k - 1] != 0.0)
+                assert t.bracket_terms(name, f"{kind}{k}") == want
 
 
 def test_jj_sector_matches_vector_rep_closure():
@@ -108,18 +116,6 @@ def test_jj_bracket_value():
     assert t.bracket_terms("J12", "J23") == ((t.index("J31"), -1.0, Fraction(0)),)
     assert t.bracket_terms("J23", "J31") == ((t.index("J12"), -1.0, Fraction(0)),)
     assert t.bracket_terms("J31", "J12") == ((t.index("J23"), -1.0, Fraction(0)),)
-
-
-def test_four_index_formula_antisymmetries():
-    # J_ij = -J_ji on either argument, and [A, A] = 0
-    assert rotation_rotation_bracket(1, 2, 2, 3) == {
-        a: -c for a, c in rotation_rotation_bracket(2, 1, 2, 3).items()
-    }
-    assert rotation_rotation_bracket(1, 2, 2, 3) == {
-        a: -c for a, c in rotation_rotation_bracket(1, 2, 3, 2).items()
-    }
-    assert rotation_rotation_bracket(1, 2, 1, 2) == {}
-    assert rotation_rotation_bracket(1, 2, 2, 1) == {}
 
 
 def test_bracket_vectors():
@@ -213,26 +209,17 @@ def test_rescaled_family_verifies():
     assert srep.jacobi_max == 0.0
 
 
-def test_apply_contraction_k1_is_base():
+def test_rescaled_table_at_finite_k():
     fam = standard_contraction_family("HR3")
-    assert apply_contraction(fam, 1.0).entries == fam.base.entries
-
-
-def test_apply_contraction_k10():
-    fam = standard_contraction_family("HR3")
-    t = apply_contraction(fam, 10.0)
-    ((tgt, coeff, power),) = t.bracket_terms("X1", "P1")
-    assert t.generators[tgt].name == "I"
-    assert coeff == pytest.approx(0.01, abs=0)
-    assert power == 0
-    # rotation action on the rescaled vectors is k-independent
-    assert t.bracket_terms("J12", "P2") == ((t.index("P1"), 1.0, Fraction(0)),)
-
-
-def test_apply_contraction_rejects_small_k():
-    fam = standard_contraction_family("HR3")
-    with pytest.raises(ValueError):
-        apply_contraction(fam, 0.5)
+    sym = fam.rescaled
+    # k = 1 (eps = 1) is the base algebra
+    np.testing.assert_array_equal(sym.coefficient_tensor(1.0), fam.base.coefficient_tensor(1.0))
+    # k = 10: only the central charge scales, by 1/k^2; the rotation action is k-independent
+    c = sym.coefficient_tensor(0.01)
+    assert c[sym.index("X1"), sym.index("P1"), sym.index("I")] == 0.01
+    want = fam.base.coefficient_tensor(1.0)
+    want[:, :, sym.index("I")] *= 0.01
+    np.testing.assert_array_equal(c, want)
 
 
 def test_limit_algebra_structure():
