@@ -209,17 +209,24 @@ def test_rescaled_family_verifies():
     assert srep.jacobi_max == 0.0
 
 
-def test_rescaled_table_at_finite_k():
+def test_apply_contraction_k1_is_base():
+    # the contracted table at finite k is coefficient_tensor(1/k^2); k = 1 is the base algebra
+    fam = standard_contraction_family("HR3")
+    np.testing.assert_array_equal(
+        fam.rescaled.coefficient_tensor(1.0), fam.base.coefficient_tensor(1.0)
+    )
+
+
+def test_apply_contraction_k10():
     fam = standard_contraction_family("HR3")
     sym = fam.rescaled
-    # k = 1 (eps = 1) is the base algebra
-    np.testing.assert_array_equal(sym.coefficient_tensor(1.0), fam.base.coefficient_tensor(1.0))
-    # k = 10: only the central charge scales, by 1/k^2; the rotation action is k-independent
-    c = sym.coefficient_tensor(0.01)
-    assert c[sym.index("X1"), sym.index("P1"), sym.index("I")] == 0.01
+    c = sym.coefficient_tensor(1.0 / 10.0**2)
+    assert c[sym.index("X1"), sym.index("P1"), sym.index("I")] == pytest.approx(0.01, abs=0)
+    # only the central charge scales, by 1/k^2; the rotation action is k-independent
     want = fam.base.coefficient_tensor(1.0)
-    want[:, :, sym.index("I")] *= 0.01
+    want[:, :, sym.index("I")] *= 1.0 / 10.0**2
     np.testing.assert_array_equal(c, want)
+    assert c[sym.index("J12"), sym.index("P2"), sym.index("P1")] == 1.0
 
 
 def test_limit_algebra_structure():
