@@ -591,8 +591,6 @@ def cmd_algebra_verify(args) -> list[CheckRecord]:
 
 
 def cmd_algebra_contract(args) -> list[CheckRecord]:
-    if args.k < 1:
-        raise ValueError("contraction parameter k must be >= 1")
     records = criterion_02_contraction_limit()
     scaled = lie_core.standard_contraction_family(args.builtin).rescaled
     coeff = scaled.coefficient_tensor(1.0 / (args.k * args.k))[scaled.index("X1"), scaled.index("P1"), scaled.index("I")]
@@ -683,8 +681,7 @@ def cmd_contract_sweep(args) -> tuple:
 
 
 def cmd_star_bracket(args) -> list[CheckRecord]:
-    f = star_product.from_text(1, args.f)
-    g = star_product.from_text(1, args.g)
+    f, g = (star_product.from_text(1, text) for text in (args.f, args.g))
     bracket = star_product.moyal_bracket(f, g)
     print(f"moyal_bracket({args.f}, {args.g}) = {bracket.to_text()}")
     if args.hbar is not None:
@@ -696,15 +693,14 @@ def cmd_star_bracket(args) -> list[CheckRecord]:
         *star_commutator_check("canonical-commutator"),
         CheckRecord("bracket-antisymmetry-exact", "star-associativity", antisymmetry, 0.0, 0.0),
     ]
-    if args.f.replace(" ", "") == "x^3" and args.g.replace(" ", "") == "p^3":
+    if (f, g) == (star_product.from_text(1, "x^3"), star_product.from_text(1, "p^3")):
         correction = float(bracket.terms.get((0, 0, 2), star_product.CRAT_ZERO).re)
         records.append(CheckRecord("cubic-correction-coefficient", "bracket-classical-limit", correction, -1.5, 0.0))
     return records
 
 
 def cmd_star_limit_sweep(args) -> list[CheckRecord]:
-    f = star_product.from_text(1, args.f)
-    g = star_product.from_text(1, args.g)
+    f, g = (star_product.from_text(1, text) for text in (args.f, args.g))
     for flag, text, poly in (("--f", args.f, f), ("--g", args.g, g)):
         if poly.degree_in(-1):
             raise ValueError(f"{flag} {text!r} contains hbar; the limit slope 2 holds only for hbar-free polynomials")
@@ -760,7 +756,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     s = command("algebra-contract", "contract and take the limit table", cmd_algebra_contract)
     s.add_argument("--builtin", default="HR3", choices=["HR3", "HR3_with_H"])
-    s.add_argument("--k", type=_bounded(positive=True), default=10.0)
+    s.add_argument("--k", type=_bounded(low=1.0), default=10.0)
 
     s = command("coset-compose", "matrix composition vs closed form", cmd_coset_compose)
     s.add_argument("--kind", default="phase", choices=["phase", "config"])
@@ -778,7 +774,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--pair", type=_parse_pair, default="dx=1,dp=0")
     s.add_argument(
-        "--k", type=_bounded(positive=True, many=True), default="1,2,3,4,6,8", help="comma-separated values > 0"
+        "--k", type=_bounded(low=1.0, many=True), default="1,2,3,4,6,8", help="comma-separated values >= 1"
     )
 
     s = command("star-bracket", "deformed bracket of two polynomials", cmd_star_bracket)

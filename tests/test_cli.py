@@ -65,12 +65,14 @@ def test_algebra_contract_reports_central_coefficient(tmp_path):
 
 
 def test_algebra_contract_rejects_k_below_one(tmp_path, capsys):
-    # --k 0.5 passes the parser (> 0) but has no contraction: a diagnostic, exit 1
-    code, report = run_cli(tmp_path, "algebra-contract", "--k", "0.5")
-    assert code == 1
-    assert report["error"] == "ValueError: contraction parameter k must be >= 1"
-    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
-    assert "Traceback" not in capsys.readouterr().err
+    # k < 1 has no contraction: the parser rejects it, exit 2 and no report
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "algebra-contract", "--k", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --k: 0.5 is not a finite value >= 1" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_report.json"))
 
 
 def test_coset_compose_both_kinds(tmp_path):
@@ -292,6 +294,16 @@ def test_star_bracket_prints_exact_correction(tmp_path, capsys):
     assert check_by_id(report, "cubic-correction-coefficient")["measured"] == -1.5
 
 
+def test_star_bracket_keys_the_cubic_check_on_the_parsed_polynomials(tmp_path):
+    # x**3 and p*p*p parse to x^3 and p^3, so the cubic correction is checked too
+    code, report = run_cli(tmp_path, "star-bracket", "--f", "x**3", "--g", "p*p*p")
+    assert code == 0
+    assert check_by_id(report, "cubic-correction-coefficient")["measured"] == -1.5
+    code, report = run_cli(tmp_path, "star-bracket", "--f", "x^3 + 1", "--g", "p^3")
+    assert code == 0
+    assert "cubic-correction-coefficient" not in [c["check_id"] for c in report["checks"]]
+
+
 def test_star_limit_sweep_slope(tmp_path):
     code, report = run_cli(tmp_path, "star-limit-sweep")
     assert code == 0
@@ -324,6 +336,19 @@ def test_star_limit_sweep_without_two_distinct_hbar_fails(tmp_path, capsys, hbar
         (("star-limit-sweep", "--g", "p^3 + hbar^2*x"), "ValueError: --g 'p^3 + hbar^2*x' contains hbar"),
         # the grid backend is 1D: --modes 3 would report no three-mode check
         (("coherent-overlap", "--backend", "grid", "--modes", "3"), "ValueError: --modes 3 needs --backend fock"),
+        # polynomial text is walked, never run, and its degree is bounded before expansion
+        *(
+            (("star-bracket", "--f", text), "ValueError: cannot parse")
+            for text in [
+                "__import__('os').getpid()*x",
+                "x.real",
+                "(lambda: x)()",
+                "y*x",
+                "x^1000000",
+                "x^(10^6)",
+                "+".join(["x"] * 5000),
+            ]
+        ),
     ],
 )
 def test_inputs_whose_checks_measure_nothing_write_a_diagnostic_report(tmp_path, capsys, argv, error):
@@ -332,6 +357,15 @@ def test_inputs_whose_checks_measure_nothing_write_a_diagnostic_report(tmp_path,
     assert report["error"].startswith(error)
     assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_polynomial_text_calls_nothing(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("os.getpid", lambda: calls.append("getpid") or 1)
+    code, report = run_cli(tmp_path, "star-bracket", "--f", "__import__('os').getpid()*x", "--g", "p")
+    assert code == 1
+    assert "is outside the polynomial grammar" in report["error"]
+    assert calls == []
 
 
 def test_battery_seed_reaches_the_classical_limit_sweep(monkeypatch):
@@ -549,22 +583,26 @@ def test_c02_nan_bracket_term_is_not_swallowed(monkeypatch):
 NO_SCIPY_PROBE = """
 import json, sys
 import qclimit.cli
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
 after_import = loaded()
-code = qclimit.cli.main(["--out", sys.argv[1], "--seed", "7", "all"])
-print(json.dumps({"after_import": after_import, "code": code, "after_all": loaded()}))
+codes = [
+    qclimit.cli.main(["--out", sys.argv[1], "--seed", "7", *argv])
+    for argv in (["all"], ["star-bracket"], ["star-limit-sweep"])
+]
+print(json.dumps({"after_import": after_import, "codes": codes, "after_runs": loaded()}))
 """
 
 
 def test_import_and_all_load_no_scipy(tmp_path):
-    """scipy is a test-only dependency: a fresh interpreter imports qclimit.cli
-    and runs `all` without loading it."""
+    """scipy and sympy are test-only dependencies: a fresh interpreter imports
+    qclimit.cli and runs `all`, `star-bracket` and `star-limit-sweep` without
+    loading either."""
     out = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path)], capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr
     probe = json.loads(out.stdout.splitlines()[-1])
-    assert probe == {"after_import": [], "code": 0, "after_all": []}
+    assert probe == {"after_import": [], "codes": [0, 0, 0], "after_runs": []}
 
 
 @pytest.mark.parametrize(
@@ -574,7 +612,7 @@ def test_import_and_all_load_no_scipy(tmp_path):
         (("coset-compose", "--samples=-3"), "argument --samples: -3 is not an integer in [1, 100000]"),
         (("coset-compose", "--samples", "2.5"), "argument --samples: '2.5' is not an integer"),
         (("algebra-contract", "--k", "inf"), "argument --k: inf is not a finite value"),
-        (("algebra-contract", "--k", "0"), "argument --k: 0 is not a finite positive value"),
+        (("algebra-contract", "--k", "0"), "argument --k: 0 is not a finite value >= 1"),
         (("contract-sweep", "--pair", "dy=1"), "argument --pair: 'dy=1' is not dx=<value> or dp=<value>"),
         (("contract-sweep", "--pair", "dx=1,dx=2"), "argument --pair: 'dx=2' is not dx=<value> or dp=<value>"),
         (("contract-sweep", "--pair", "dx"), "argument --pair: 'dx' is not dx=<value> or dp=<value>"),
@@ -586,12 +624,14 @@ def test_import_and_all_load_no_scipy(tmp_path):
         (("algebra-verify", "--eps", "0,-0.5"), "argument --eps: -0.5 is not a finite value >= 0"),
         (("algebra-verify", "--eps", "0,inf"), "argument --eps: inf is not a finite value >= 0"),
         (("algebra-verify", "--eps", "0,x"), "argument --eps: '0,x' is not a comma-separated list of numbers"),
-        (("contract-sweep", "--k", "1,inf"), "argument --k: inf is not a finite positive value"),
-        (("contract-sweep", "--k", "1,nan"), "argument --k: nan is not a finite positive value"),
+        (("contract-sweep", "--k", "1,inf"), "argument --k: inf is not a finite value >= 1"),
+        (("contract-sweep", "--k", "1,nan"), "argument --k: nan is not a finite value >= 1"),
         (("contract-sweep", "--k", "1,,2"), "argument --k: '1,,2' is not a comma-separated list of numbers"),
         # a pair with no label separation has no decay to measure
         (("contract-sweep", "--pair", "dx=0,dp=0"), "argument --pair: 'dx=0,dp=0' separates no labels"),
         (("contract-sweep", "--pair", "dx=0"), "argument --pair: 'dx=0' separates no labels"),
+        # k < 1 has no contraction
+        (("contract-sweep", "--k", "0.5,2"), "argument --k: 0.5 is not a finite value >= 1"),
     ],
 )
 def test_bad_input_rejected_at_parser(tmp_path, capsys, argv, message):

@@ -8,6 +8,7 @@ import pytest
 from qclimit import star_product
 from qclimit.star_product import (
     CRAT_ONE,
+    MAX_DEGREE,
     CRat,
     PhasePolynomial,
     canonical_commutator_check,
@@ -198,10 +199,136 @@ def test_text_parsing_round_trip():
 
 
 def test_text_parsing_rejects_non_polynomials():
+    rejected = [
+        "sin(x)",
+        "1/x",
+        "x/hbar",
+        "x/0",
+        "x/(p - p)",
+        "x.real",
+        "x[0]",
+        "(lambda: x)()",
+        "__import__('os').getpid()*x",
+        "y*x",
+        "True*x",
+        "1j*x",
+        "'x'",
+        "x % 2",
+        "x // 2",
+        "x == p",
+        "x^-1",
+        "x^2.0",
+        "x^p",
+        "x^True",
+        "",
+        "x; p",
+        "x\n+ p",
+        "1e-99999999999*x",
+        "+".join(["x"] * 5000),
+    ]
+    for text in rejected:
+        with pytest.raises(ValueError, match="polynomial"):
+            from_text(1, text)
     with pytest.raises(ValueError, match="polynomial"):
-        from_text(1, "sin(x)")
-    with pytest.raises(ValueError, match="polynomial"):
-        from_text(1, "1/x")
+        from_text(3, "x*p")
+
+
+def _sympy_from_text(dims: int, text: str) -> PhasePolynomial:
+    """Independent reference parser: sympy's parse_expr (which runs eval, so
+    it reads only the fixed corpus here) and Poly over QQ_I."""
+    import sympy
+    from sympy.parsing.sympy_parser import convert_xor, standard_transformations
+
+    symbols, gens = {"hbar": sympy.Symbol("hbar"), "i": sympy.I, "I": sympy.I}, []
+    for axis in range(1, dims + 1):
+        symbols[f"x{axis}"], symbols[f"p{axis}"] = sympy.Symbol(f"x{axis}"), sympy.Symbol(f"p{axis}")
+        gens += [symbols[f"x{axis}"], symbols[f"p{axis}"]]
+    if dims == 1:
+        symbols["x"], symbols["p"] = symbols["x1"], symbols["p1"]
+    expr = sympy.parse_expr(text, local_dict=symbols, transformations=standard_transformations + (convert_xor,))
+    poly = sympy.Poly(sympy.expand(expr), *gens, symbols["hbar"], domain="QQ_I")
+    terms = {}
+    for exps, coeff in poly.terms():
+        re, im = sympy.sympify(coeff).as_real_imag()
+        # generator order is x1, p1, x2, p2, ..., hbar; key order is all x then all p
+        key = tuple(exps[0:-1:2]) + tuple(exps[1:-1:2]) + (exps[-1],)
+        terms[key] = CRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+    return PhasePolynomial(dims, terms)
+
+
+@pytest.mark.parametrize(
+    "dims, text",
+    [
+        (1, "x*p + 1/2"),
+        (1, "(x + p)^2 - x^2"),
+        (1, "3/2*hbar^2*x - i*p"),
+        (1, "x^4 + 2*p**3*x"),
+        (1, "-x + +p - -hbar"),
+        (1, "-(x - p)*(x + p) + (x^2 - p^2)"),
+        (1, "(1 + I)^3*x/(2 - 3*i)"),
+        (1, "0.1*x + 1.5e2*p - .5 + 2.50*hbar"),
+        (1, "x/2/3 + p/(0.5) + hbar/(1 + 0.5*i)"),
+        (1, "i^2*hbar + I*x1*p1"),
+        (1, " x^3 "),
+        (1, "7"),
+        (1, "0*x"),
+        (1, "x^0 + 0^0"),
+        (1, "(x + p + hbar + 1)^10"),
+        (1, "hbar^2*(x*p + p*x)/4 - (x - 1/3)^5"),
+        (3, "x2*p3 - 1/3*x1^2"),
+        (3, "(x1 + p2 + hbar)^3 - x3*p3"),
+        (3, "x3**2*p3^2 - i*x1*p1/7 + 0.25"),
+        (3, "-(x1 - I*p1)^2/(1 - i) + +hbar*(p2 - x2)"),
+    ],
+)
+def test_text_parsing_matches_sympy_reference(dims, text):
+    assert from_text(dims, text) == _sympy_from_text(dims, text)
+
+
+def test_text_parsing_departs_from_sympy_on_purpose():
+    # a decimal is read exactly from its text, where sympy rounds it
+    assert _sympy_from_text(1, "0.3333333333333333*x") == _x().scale(CRat(Fraction(1, 3)))
+    for text, exact in [
+        ("0.3333333333333333*x", Fraction(3333333333333333, 10**16)),
+        ("1e-400*x", Fraction(1, 10**400)),
+        ("1_000.5e-1*x", Fraction(10005, 100)),
+    ]:
+        assert from_text(1, text) == _x().scale(CRat(exact)) != _sympy_from_text(1, text)
+    # an exponent must be an integer literal in [0, MAX_DEGREE], and a product
+    # may not exceed MAX_DEGREE; sympy expands each of these
+    over = [
+        "2**-1",
+        "x^(1+1)",
+        "x^2^3",
+        f"x^{MAX_DEGREE + 1}",
+        f"2^{MAX_DEGREE + 1}",
+        f"x^{MAX_DEGREE}*hbar",
+        f"(x^2 + p)^{MAX_DEGREE // 2 + 1}",
+    ]
+    for text in over:
+        assert not _sympy_from_text(1, text).is_zero
+        with pytest.raises(ValueError, match="polynomial"):
+            from_text(1, text)
+
+
+def test_text_parsing_bounds_degree_before_expanding(monkeypatch):
+    products = []
+    mul = PhasePolynomial.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(PhasePolynomial, "__mul__", counting)
+    for text in ("x^1000000", "(x + p)^14*(x + p)^14", "x^(10^6)"):
+        with pytest.raises(ValueError, match="polynomial"):
+            from_text(1, text)
+    assert products == []
+    # each power builds, the product of the two is refused before it is formed
+    with pytest.raises(ValueError, match=f"degree {2 * MAX_DEGREE} exceeds MAX_DEGREE"):
+        from_text(1, f"(x + p)^{MAX_DEGREE}*(x + p)^{MAX_DEGREE}")
+    assert len(products) == 2 * MAX_DEGREE
+
 
 
 # ---------------------------------------------------------------------------
