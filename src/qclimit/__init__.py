@@ -1,4 +1,4 @@
-"""Heisenberg-Weyl symmetry with rotations: coset actions, coherent states,
+"""Heisenberg-Weyl symmetry with rotations: the coset group law, coherent states,
 the symmetry contraction to the classical regime, and a Moyal star-product
 engine, plus a verification CLI."""
 

@@ -680,8 +680,20 @@ def cmd_contract_sweep(args) -> tuple:
     return decay_law_check(sweep, args.pair, ""), contraction_lab.csv_rows(sweep)
 
 
+def _polynomial_flags(args) -> dict:
+    """--f and --g parsed as 1D polynomials, keyed by flag; a rejected text
+    raises a ValueError that starts with its flag."""
+    polys = {}
+    for flag, text in (("--f", args.f), ("--g", args.g)):
+        try:
+            polys[flag] = star_product.from_text(1, text)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from exc
+    return polys
+
+
 def cmd_star_bracket(args) -> list[CheckRecord]:
-    f, g = (star_product.from_text(1, text) for text in (args.f, args.g))
+    f, g = _polynomial_flags(args).values()
     bracket = star_product.moyal_bracket(f, g)
     print(f"moyal_bracket({args.f}, {args.g}) = {bracket.to_text()}")
     if args.hbar is not None:
@@ -700,10 +712,11 @@ def cmd_star_bracket(args) -> list[CheckRecord]:
 
 
 def cmd_star_limit_sweep(args) -> list[CheckRecord]:
-    f, g = (star_product.from_text(1, text) for text in (args.f, args.g))
-    for flag, text, poly in (("--f", args.f, f), ("--g", args.g, g)):
+    polys = _polynomial_flags(args)
+    for flag, poly in polys.items():
         if poly.degree_in(-1):
-            raise ValueError(f"{flag} {text!r} contains hbar; the limit slope 2 holds only for hbar-free polynomials")
+            raise ValueError(f"{flag}: the polynomial contains hbar; the limit slope 2 holds only for hbar-free ones")
+    f, g = polys.values()
     sweep = star_product.classical_limit_sweep(f, g, hbar_values=args.hbar, seed=args.seed)
     for r in sweep["records"]:
         print(f"hbar={r['hbar']:g}: max bracket deviation {r['max_abs_err']:.6g}")

@@ -130,14 +130,6 @@ class FockSpace:
         grid = (self.mode_dim,) * self.modes
         return OffsetOperator(grid, {(0,) * self.modes: np.ones(grid, dtype=complex)})
 
-    def occupations(self) -> np.ndarray:
-        """Per-mode occupation numbers of every basis state, shape (dim, modes)."""
-        return np.stack(np.unravel_index(np.arange(self.dim), (self.mode_dim,) * self.modes), axis=1)
-
-    def safe_mask(self, margin: int = 2) -> np.ndarray:
-        """Basis states keeping `margin` empty top levels in every mode."""
-        return (self.occupations() <= self.cutoff - margin).all(axis=1)
-
 
 def _offset_slices(d: tuple, grid: tuple) -> tuple:
     """(rows, cols): the slices of r and of r + d over the r for which both
@@ -231,12 +223,6 @@ class OffsetOperator:
         for d in sorted(self.bands):
             out += self.bands[d] * _shifted(v, d)
         return out.reshape(-1)
-
-    def norm1(self) -> float:
-        """Largest column sum of |entries|, the matrix 1-norm."""
-        # column c collects <c - d|A|c> from every offset d
-        sums = sum(_shifted(np.abs(b), tuple(-k for k in d)) for d, b in self.bands.items())
-        return float(np.max(sums, initial=0.0))
 
     def toarray(self) -> np.ndarray:
         index = np.arange(self.dim).reshape(self.grid)
@@ -577,7 +563,7 @@ def fock_matrix_element_hp(kind: str, p1, x1, theta1, p2, x2, theta2, cutoff: in
 
 
 # ---------------------------------------------------------------------------
-# Weyl and rotation unitaries
+# Weyl unitaries
 # ---------------------------------------------------------------------------
 
 
@@ -652,53 +638,6 @@ def weyl_unitary(space: FockSpace, p, x, theta: float = 0.0, form: str = "factor
             rotation = np.exp(-1j * math.atan2(x[i], p[i]) * levels)
             steps.append(((rotation.conj(), math.hypot(p[i], x[i]), rotation),))
     return WeylOperator(space, np.exp(1j * float(theta)), tuple(steps))
-
-
-# theta_m of Al-Mohy & Higham (2011), Table 3.1: the largest 1-norm for which
-# the degree-m Taylor polynomial of exp meets the unit roundoff 2^-53
-_TAYLOR_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
-
-
-def _expm_apply(op: OffsetOperator, v: np.ndarray) -> np.ndarray:
-    """exp(op) v without forming exp(op) (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 2011): s steps of the degree-m Taylor series of exp(op/s), with
-    s = ceil(|op|_1 / theta_m) and m chosen to make m s least.  A step stops
-    early once two successive terms are negligible against the sum."""
-    norm = op.norm1()
-    if norm == 0.0:
-        return v
-    m, s = min(((m, math.ceil(norm / theta)) for m, theta in _TAYLOR_THETA.items()), key=lambda ms: ms[0] * ms[1])
-    tol = 2.0**-53
-    out = v
-    for _ in range(s):
-        term = out
-        c1 = np.abs(term).max()
-        for j in range(1, m + 1):
-            term = (op @ term) / (s * j)
-            c2 = np.abs(term).max()
-            out = out + term
-            if c1 + c2 <= tol * np.abs(out).max():
-                break
-            c1 = c2
-    return out
-
-
-def rotation_unitary_apply(space: FockSpace, omega, state: StateVector) -> StateVector:
-    """Apply exp(-i sum_a omega_a J_axis_a) to a state.
-
-    Sends the coherent state at (p, x) to the one at (R p, R x) with
-    R = exp(Omega(omega)) from coset_rep.rotation_from_omega.
-    """
-    omega = np.asarray(omega, dtype=float).reshape(3)
-    gen = None
-    for axis in (1, 2, 3):
-        if omega[axis - 1] != 0.0:
-            term = omega[axis - 1] * space.j_axis_op(axis)
-            gen = term if gen is None else gen + term
-    if gen is None:
-        return state
-    out = _expm_apply(-1j * gen, np.asarray(state.coefficients, dtype=complex))
-    return StateVector("fock", space, out)
 
 
 # ---------------------------------------------------------------------------

@@ -72,13 +72,6 @@ class CRat:
     def __neg__(self) -> "CRat":
         return CRat(-self.re, -self.im)
 
-    def times_i(self) -> "CRat":
-        return CRat(-self.im, self.re)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def scale(self, q: Fraction) -> "CRat":
         return CRat(self.re * q, self.im * q)
 
@@ -269,13 +262,6 @@ class PhasePolynomial:
     def degree_in(self, slot: int) -> int:
         return max((k[slot] for k in self.nums), default=0)
 
-    def shift_hbar(self, amount: int) -> "PhasePolynomial":
-        if any(k[-1] + amount < 0 for k in self.nums):
-            raise ValueError("negative hbar exponent")
-        return PhasePolynomial._of(
-            self.dims, self.den, {k[:-1] + (k[-1] + amount,): v for k, v in self.nums.items()}
-        )
-
     def substitute_hbar(self, value: Fraction) -> "PhasePolynomial":
         """Replace the deformation symbol by an exact rational value."""
         value = Fraction(value)
@@ -360,6 +346,13 @@ def _format_crat(c: CRat) -> str:
 
 # Total degree bound, hbar counted: star-bracket on (x+p+hbar+1)^10, (x-p+hbar+1)^10 runs 0.8 s on 2 CPUs.
 MAX_DEGREE = 10
+# longest piece of the input text that a parse error quotes
+QUOTE_CHARS = 60
+
+
+def _quote(text: str) -> str:
+    """repr of text, cut to QUOTE_CHARS characters with '...' marking a cut."""
+    return repr(text) if len(text) <= QUOTE_CHARS else repr(text[:QUOTE_CHARS]) + "..."
 
 
 def from_text(dims: int, text: str) -> PhasePolynomial:
@@ -399,16 +392,16 @@ def from_text(dims: int, text: str) -> PhasePolynomial:
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             literal = ast.get_source_segment(source, node) if type(node.value) is float else str(node.value)
             if len(literal.lower().partition("e")[2].lstrip("+-")) > 3:  # Fraction(literal) builds 10^exponent
-                raise ValueError(f"{literal}: a decimal exponent has at most three digits")
+                raise ValueError(f"{_quote(literal)}: a decimal exponent has at most three digits")
             return PhasePolynomial.constant(dims, CRat(Fraction(literal)))
         if isinstance(node, ast.Name) and node.id in names:
             return names[node.id]
-        raise ValueError(f"{ast.get_source_segment(source, node)!r} is outside the polynomial grammar")
+        raise ValueError(f"{_quote(ast.get_source_segment(source, node))} is outside the polynomial grammar")
 
     try:
         return walk(ast.parse(source, mode="eval").body)
     except (SyntaxError, RecursionError, ValueError) as exc:
-        raise ValueError(f"cannot parse {text!r} as a phase-space polynomial: {exc}") from exc
+        raise ValueError(f"cannot parse {_quote(text)} as a phase-space polynomial: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

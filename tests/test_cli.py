@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import importlib
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +263,57 @@ def test_each_law_has_one_implementation(tmp_path, monkeypatch):
         assert run(*argv)[name] >= 1, argv
 
 
+# src/ code that only tests reach on purpose: the dense unitary is the tests' reference for apply()
+TEST_REFERENCES = {"hilbert.WeylOperator.matrix"}
+
+
+def _names(nodes) -> set:
+    """Every identifier and attribute name read in the given syntax trees."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_src_has_no_test_only_code(monkeypatch):
+    """Every top-level function and class, and every non-dunder method, in
+    src/qclimit is reached from the package's module-level code or from the
+    benchmark (its scripts and its TRACED table), following names through the
+    definitions reached; code that only a test reaches belongs in that test.
+    Names are matched bare, so a method that shares its name with a reached
+    one (FockSpace.dim and OffsetOperator.dim, say) passes either way."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    traced = importlib.import_module("layers").TRACED
+    live = {part for names in traced.values() for name in names for part in name.split(".")}
+    live |= _names(
+        ast.parse(path.read_text()) for path in (root / "perfbench").glob("*.py") if path.name != "test_perfbench.py"
+    )
+    # (qualified name, name, the trees it reads once it is reached); a class
+    # reads its bases, decorators, fields and dunder methods
+    defs = []
+    for path in sorted((root / "src" / "qclimit").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{path.stem}.{node.name}", node.name, [node]))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+                rest = [*node.bases, *node.decorator_list, *(m for m in node.body if m not in methods)]
+                defs.append((f"{path.stem}.{node.name}", node.name, rest))
+                defs += [(f"{path.stem}.{node.name}.{m.name}", m.name, [m]) for m in methods]
+            else:
+                live |= _names([node])
+    reached = set()
+    while new := [d for d in defs if d[1] in live and d[0] not in reached]:
+        for qualified, _, trees in new:
+            reached.add(qualified)
+            live |= _names(trees)
+    unreached = [qualified for qualified, _, _ in defs if qualified not in reached | TEST_REFERENCES]
+    assert unreached == [], f"reached only from tests: {unreached}"
+
+
 @pytest.mark.parametrize(
     "argv, low, high",
     [
@@ -332,21 +386,25 @@ def test_star_limit_sweep_without_two_distinct_hbar_fails(tmp_path, capsys, hbar
     "argv, error",
     [
         # the limit slope 2 holds only for hbar-free polynomials
-        (("star-limit-sweep", "--f", "hbar*x^3", "--g", "p^3"), "ValueError: --f 'hbar*x^3' contains hbar"),
-        (("star-limit-sweep", "--g", "p^3 + hbar^2*x"), "ValueError: --g 'p^3 + hbar^2*x' contains hbar"),
+        (("star-limit-sweep", "--f", "hbar*x^3", "--g", "p^3"), "ValueError: --f: the polynomial contains hbar"),
+        (("star-limit-sweep", "--g", "p^3 + hbar^2*x"), "ValueError: --g: the polynomial contains hbar"),
         # the grid backend is 1D: --modes 3 would report no three-mode check
         (("coherent-overlap", "--backend", "grid", "--modes", "3"), "ValueError: --modes 3 needs --backend fock"),
-        # polynomial text is walked, never run, and its degree is bounded before expansion
+        # polynomial text is walked, never run, and its degree is bounded before expansion;
+        # the error names the flag and quotes at most the head of a long text or segment
         *(
-            (("star-bracket", "--f", text), "ValueError: cannot parse")
-            for text in [
-                "__import__('os').getpid()*x",
-                "x.real",
-                "(lambda: x)()",
-                "y*x",
-                "x^1000000",
-                "x^(10^6)",
-                "+".join(["x"] * 5000),
+            ((command, flag, text), f"ValueError: {flag}: cannot parse")
+            for command in ["star-bracket", "star-limit-sweep"]
+            for flag, text in [
+                ("--f", "__import__('os').getpid()*x"),
+                ("--f", "x.real"),
+                ("--g", "(lambda: x)()"),
+                ("--g", "y*x"),
+                ("--f", "x^1000000"),
+                ("--g", "x^(10^6)"),
+                ("--f", "+".join(["x"] * 5000)),
+                ("--g", "x." + "a" * 5000),
+                ("--g", "1." + "0" * 5000 + "e1234*p"),
             ]
         ),
     ],
@@ -355,6 +413,7 @@ def test_inputs_whose_checks_measure_nothing_write_a_diagnostic_report(tmp_path,
     code, report = run_cli(tmp_path, *argv)
     assert code == 1
     assert report["error"].startswith(error)
+    assert len(report["error"]) <= 300
     assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
     assert "Traceback" not in capsys.readouterr().err
 

@@ -65,6 +65,16 @@ def _rational_poly(rng, dims, max_degree, n_terms):
     return PhasePolynomial(dims, terms)
 
 
+def _times_i(c: CRat) -> CRat:
+    return CRat(-c.im, c.re)
+
+
+def _shift_hbar(poly: PhasePolynomial, amount: int) -> PhasePolynomial:
+    """poly times hbar^amount; a negative amount must leave every hbar exponent >= 0."""
+    assert all(k[-1] + amount >= 0 for k in poly.nums)
+    return PhasePolynomial._of(poly.dims, poly.den, {k[:-1] + (k[-1] + amount,): v for k, v in poly.nums.items()})
+
+
 def _reference_star(f, g):
     """The module docstring's derivative sum, evaluated with PhasePolynomial.diff."""
     d = f.dims
@@ -82,8 +92,8 @@ def _reference_star(f, g):
         order = sum(ab)
         coeff = CRat(Fraction((-1) ** sum(b), 2**order * math.prod(math.factorial(e) for e in ab)))
         for _ in range(order):
-            coeff = coeff.times_i()
-        total = total + (df * dg).scale(coeff).shift_hbar(order)
+            coeff = _times_i(coeff)
+        total = total + _shift_hbar((df * dg).scale(coeff), order)
     return total
 
 
@@ -97,8 +107,8 @@ def test_gaussian_rational_arithmetic():
     b = CRat(Fraction(2), Fraction(-1, 3))
     assert (a * b).re == Fraction(1, 2) * 2 - Fraction(3) * Fraction(-1, 3)
     assert (a * b).im == Fraction(1, 2) * Fraction(-1, 3) + Fraction(3) * 2
-    assert a.times_i() == CRat(Fraction(-3), Fraction(1, 2))
-    assert (a - a).is_zero
+    assert a * CRat(im=Fraction(1)) == CRat(Fraction(-3), Fraction(1, 2))
+    assert a - a == CRat()
 
 
 def test_variable_constructors_and_validation():
@@ -414,7 +424,7 @@ def test_commutator_identity_on_monomial_basis():
 
 def _reference_bracket(f, g):
     """(f * g - g * f) / (i hbar) from two full star products."""
-    return (star(f, g) - star(g, f)).shift_hbar(-1).scale(CRat(im=Fraction(-1)))
+    return _shift_hbar(star(f, g) - star(g, f), -1).scale(CRat(im=Fraction(-1)))
 
 
 def test_one_pass_bracket_matches_commutator_of_two_products():
