@@ -143,6 +143,28 @@ def test_quadrature_hermiticity_and_edge_commutator():
     assert abs(dev[-1, -1] + 1j * (space.cutoff + 1)) < 1e-12
 
 
+def _occupations(space) -> np.ndarray:
+    """(dim, modes) occupation numbers of the basis states, in basis order."""
+    return np.stack(np.unravel_index(np.arange(space.dim), (space.mode_dim,) * space.modes), axis=1)
+
+
+def _safe_mask(space, margin: int = 2) -> np.ndarray:
+    """The truncation-safe subspace: basis states keeping `margin` empty top
+    levels in every mode."""
+    return (_occupations(space) <= space.cutoff - margin).all(axis=1)
+
+
+def test_safe_mask_excludes_top_two_levels():
+    space = build_fock_space(1, 4)
+    mask = _safe_mask(space, margin=2)
+    assert mask.tolist() == [True, True, True, False, False]
+    space3 = build_fock_space(3, 3)
+    mask3 = _safe_mask(space3, margin=2)
+    occ = _occupations(space3)
+    assert mask3.sum() == 2**3
+    assert (occ[mask3] <= 1).all()
+
+
 def test_rotation_generator_needs_three_modes():
     with pytest.raises(ValueError, match="modes"):
         build_fock_space(1, 4).j_axis_op(3)
@@ -705,9 +727,7 @@ def test_operator_bracket_check_matches_dense_reference():
     space = build_fock_space(3, 6)
     table = build_standard_algebra("HR3")
     ops = _csr_generators(space)
-    # the truncation-safe subspace: basis states with every occupation at most cutoff - 2
-    occupations = np.stack(np.unravel_index(np.arange(space.dim), (space.mode_dim,) * space.modes), axis=1)
-    mask = (occupations <= space.cutoff - 2).all(axis=1)
+    mask = _safe_mask(space)
     assert mask.sum() == (space.cutoff - 1) ** 3
     names = [g.name for g in table.generators]
     want = {}
