@@ -778,7 +778,6 @@ class FlowReport:
     norm_drift: float
     halving_deviation: float
     steps: int
-    dt: float
 
 
 FLOW_SAMPLE_EVERY = 50  # RK4 steps between the samples the two flow routes compare
@@ -857,4 +856,4 @@ def projective_flow_check(
     drift = float(np.abs(norms - np.linalg.norm(c0)).max())
     path_half = _rk4(-1j * h, c0, dt / 2.0, int(round(t_final / (dt / 2.0))), 2 * FLOW_SAMPLE_EVERY)
     halving = float(np.abs(path_a - path_half).max())
-    return FlowReport(deviation, drift, halving, steps, dt)
+    return FlowReport(deviation, drift, halving, steps)

@@ -185,7 +185,6 @@ class VerificationReport:
 
     antisymmetry_max: float
     jacobi_max: float
-    eps_samples: tuple[float, ...]
 
 
 def _jacobi_residual(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -210,9 +209,7 @@ def verify_algebra(
         anti.append(np.abs(c + c.transpose(1, 0, 2)).max())
         jac.append(np.abs(_jacobi_residual(c, c)).max())
     # np.max, unlike a running max(), propagates NaN
-    return VerificationReport(
-        float(np.max(anti)), float(np.max(jac)), tuple(float(e) for e in eps_samples)
-    )
+    return VerificationReport(float(np.max(anti)), float(np.max(jac)))
 
 
 def verify_algebra_symbolic(table: StructureConstantTable) -> VerificationReport:
@@ -227,7 +224,7 @@ def verify_algebra_symbolic(table: StructureConstantTable) -> VerificationReport
     # 0.0 stands for an empty table; np.max propagates NaN
     anti = np.max([0.0, *(np.abs(c + c.transpose(1, 0, 2)).max() for c in by_power.values())])
     jac = np.max([0.0, *(np.abs(r).max() for r in residuals.values())])
-    return VerificationReport(float(anti), float(jac), ())
+    return VerificationReport(float(anti), float(jac))
 
 
 # ---------------------------------------------------------------------------

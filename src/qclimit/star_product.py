@@ -72,9 +72,6 @@ class CRat:
     def __neg__(self) -> "CRat":
         return CRat(-self.re, -self.im)
 
-    def scale(self, q: Fraction) -> "CRat":
-        return CRat(self.re * q, self.im * q)
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import math
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -51,11 +52,29 @@ def test_report_schema_and_summary(tmp_path):
 
 
 def test_algebra_verify_extended_table(tmp_path):
-    code, report = run_cli(
-        tmp_path, "algebra-verify", "--builtin", "HR3_with_H", "--eps", "0,0.25,1"
-    )
+    code, report = run_cli(tmp_path, "algebra-verify", "--builtin", "HR3_with_H")
     assert code == 0
     assert check_by_id(report, "jacobi")["measured"] <= 1e-12
+
+
+def test_jacobi_per_power_checks_the_rescaled_family(tmp_path, monkeypatch):
+    """One rotation bracket of the rescaled table moved to eps^1 breaks Jacobi
+    at finite k; `jacobi` samples the base table and still passes."""
+    family = cli.lie_core.standard_contraction_family("HR3")
+    scaled = family.rescaled
+    moved = {(scaled.index("J23"), scaled.index("X2")), (scaled.index("X2"), scaled.index("J23"))}
+    family.rescaled = dataclasses.replace(
+        scaled,
+        entries={
+            pair: tuple((t, c, Fraction(1)) for t, c, _ in terms) if pair in moved else terms
+            for pair, terms in scaled.entries.items()
+        },
+    )
+    monkeypatch.setattr(cli.lie_core, "standard_contraction_family", lambda name: family)
+    code, report = run_cli(tmp_path, "algebra-verify")
+    assert code == 1
+    assert check_by_id(report, "jacobi")["pass"]
+    assert not check_by_id(report, "jacobi-per-power")["pass"]
 
 
 def test_algebra_contract_reports_central_coefficient(tmp_path):
@@ -265,6 +284,8 @@ def test_each_law_has_one_implementation(tmp_path, monkeypatch):
 
 # src/ code that only tests reach on purpose: the dense unitary is the tests' reference for apply()
 TEST_REFERENCES = {"hilbert.WeylOperator.matrix"}
+# definitions that share a bare name, each checked by hand to be reached
+SHARED_NAMES = {("hilbert.FockSpace.dim", "hilbert.OffsetOperator.dim")}
 
 
 def _names(nodes) -> set:
@@ -283,7 +304,8 @@ def test_src_has_no_test_only_code(monkeypatch):
     benchmark (its scripts and its TRACED table), following names through the
     definitions reached; code that only a test reaches belongs in that test.
     Names are matched bare, so a method that shares its name with a reached
-    one (FockSpace.dim and OffsetOperator.dim, say) passes either way."""
+    one would pass either way: definitions that share a name fail unless they
+    are on SHARED_NAMES."""
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     traced = importlib.import_module("layers").TRACED
@@ -305,6 +327,11 @@ def test_src_has_no_test_only_code(monkeypatch):
                 defs += [(f"{path.stem}.{node.name}.{m.name}", m.name, [m]) for m in methods]
             else:
                 live |= _names([node])
+    by_name = {}
+    for qualified, name, _ in defs:
+        by_name.setdefault(name, []).append(qualified)
+    shared = {tuple(group) for group in by_name.values() if len(group) > 1} - SHARED_NAMES
+    assert not shared, f"definitions sharing a bare name, so the guard cannot tell them apart: {sorted(shared)}"
     reached = set()
     while new := [d for d in defs if d[1] in live and d[0] not in reached]:
         for qualified, _, trees in new:
@@ -312,6 +339,17 @@ def test_src_has_no_test_only_code(monkeypatch):
             live |= _names(trees)
     unreached = [qualified for qualified, _, _ in defs if qualified not in reached | TEST_REFERENCES]
     assert unreached == [], f"reached only from tests: {unreached}"
+
+
+def test_readme_commands_parse():
+    """Every `qclimit ...` line of the README's command-line block parses, so
+    the README cannot advertise an option the parser lacks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qclimit ")]
+    assert commands
+    for argv in commands:
+        cli.make_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize(
@@ -677,12 +715,15 @@ def test_import_and_all_load_no_scipy(tmp_path):
         (("contract-sweep", "--pair", "dx"), "argument --pair: 'dx' is not dx=<value> or dp=<value>"),
         (("contract-sweep", "--pair", "dx=nan"), "argument --pair: nan is not a finite value"),
         (("contract-sweep", "--pair", "dp=inf"), "argument --pair: inf is not a finite value"),
-        (("--tolerance", "nan", "coset-compose"), "argument --tolerance: nan is not a finite value"),
+        # deleted options are rejected, not ignored: every tolerance is fixed at its check,
+        # algebra-verify samples the eps values of C01 and algebra-contract contracts HR3;
+        # before a subcommand argparse reads the option's value as the subcommand's name
+        (("--tolerance", "1", "all"), "argument command: invalid choice: '1'"),
         (("coherent-overlap", "--backend", "grid", "--grid-extent", "nan"), "argument --grid-extent: nan is not a finite value"),
-        (("algebra-verify", "--eps", "nan"), "argument --eps: nan is not a finite value >= 0"),
-        (("algebra-verify", "--eps", "0,-0.5"), "argument --eps: -0.5 is not a finite value >= 0"),
-        (("algebra-verify", "--eps", "0,inf"), "argument --eps: inf is not a finite value >= 0"),
-        (("algebra-verify", "--eps", "0,x"), "argument --eps: '0,x' is not a comma-separated list of numbers"),
+        (("all", "--tolerance", "1"), "unrecognized arguments: --tolerance 1"),
+        (("algebra-verify", "--eps", "0"), "unrecognized arguments: --eps 0"),
+        (("algebra-contract", "--builtin", "HR3"), "unrecognized arguments: --builtin HR3"),
+        (("--tolerance=1", "all"), "unrecognized arguments: --tolerance=1"),
         (("contract-sweep", "--k", "1,inf"), "argument --k: inf is not a finite value >= 1"),
         (("contract-sweep", "--k", "1,nan"), "argument --k: nan is not a finite value >= 1"),
         (("contract-sweep", "--k", "1,,2"), "argument --k: '1,,2' is not a comma-separated list of numbers"),
