@@ -31,11 +31,13 @@ All tolerance-critical closed forms (overlap, matrix elements) have high
 precision Fock-sum counterparts (suffix _hp), so that formula checks are not
 polluted by float64 cancellation at small overlaps.  One kernel,
 fock_gram_hp, computes them as exact dot products (Kulisch-Miranker 1981):
-the coherent coefficients come from an integer recursion with guard bits,
-correctly rounded to prec(HP_DPS) + 32 fractional bits; X and P act through
-fixed-point band roots, every sum is exact in integers, and each result is
-rounded once at the end.  The closed forms broadcast over grids of label
-pairs, so a grid check is one array expression.
+the coherent coefficients come from an integer recursion with guard bits
+(one stdlib decimal exp per label), correctly rounded to FRAC_BITS
+fractional bits; X and P act through fixed-point band roots, every sum is
+exact in integers, and so are the products over modes and the fixed-point
+phase exp(i(theta2 - theta1)), so each result is rounded once at the end.
+The closed forms broadcast over grids of label pairs, so a grid check is one
+array expression.
 
 The ray flow is linear, y' = A y, so one RK4 step is exactly the matrix
 polynomial sum_{k<=4} (hA)^k / k!, built once and raised to the sampling
@@ -44,12 +46,13 @@ stride.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
-import mpmath
 import numpy as np
 
 from qclimit.lie_core import _DUAL_PAIR
@@ -291,9 +294,6 @@ class StateVector:
     coefficients: np.ndarray
     truncation_bound: float = 0.0
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
 
 def _as_mode_vector(value, modes: int) -> np.ndarray:
     v = np.atleast_1d(np.asarray(value, dtype=float))
@@ -407,18 +407,13 @@ def matrix_element(space: FockSpace, kind: str, axis: int, s1: StateVector, s2: 
 # ---------------------------------------------------------------------------
 
 FOCK_GRAM_KINDS = ("c", "X", "P")
-HP_DPS = 30  # decimal digits of the high-precision sums
+FRAC_BITS = 135  # fractional bits of the fixed-point coherent coefficients and phases
 
 
 def _fixed(value, bits: int) -> int:
-    """round(value * 2^bits) for a real mpf, from its exact mantissa and exponent."""
-    sign, man, exp, _ = value._mpf_  # mpmath's raw (sign, mantissa, exponent, bitcount)
-    if sign:
-        man = -man
-    shift = exp + bits
-    if shift >= 0:
-        return man << shift
-    return (man + (1 << (-shift - 1))) >> -shift
+    """floor(value 2^bits + 1/2), exactly, for a float, Fraction or Decimal."""
+    num, den = value.as_integer_ratio()
+    return ((num << (bits + 1)) + den) // (den << 1)
 
 
 @lru_cache(maxsize=8)
@@ -440,11 +435,12 @@ def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
     coefficients c_n = exp(-(x^2 + p^2)/4) (x + i p)^n / sqrt(2^n n!).
 
     The recursion c_n = c_{n-1} (x + i p)/sqrt(2n) runs in integers with
-    w = bits + guard fractional bits, from c_0 (one mpmath exp at w bits) and
-    X + iP = round((x + i p) 2^w), rounding each step to nearest.  The guard
-    covers the growth of the error in c_0 up to the Poisson peak (at most
-    exp((x^2 + p^2)/4)), one rounding per step and 32 bits more, so each
-    result is correctly rounded unless it lies within 2^-32 units of a tie.
+    w = bits + guard fractional bits, from c_0 (one correctly rounded decimal
+    exp at more than w bits) and X + iP = round((x + i p) 2^w), rounding each
+    step to nearest.  The guard covers the growth of the error in c_0 up to
+    the Poisson peak (at most exp((x^2 + p^2)/4)), one rounding per step and
+    32 bits more, so each result is correctly rounded unless it lies within
+    2^-32 units of a tie.
     """
     lam = 0.5 * (x * x + p * p)  # mean occupation |alpha|^2
     # log of the largest |c_n|: the Poisson peak at n = floor(lam), or the last level
@@ -455,9 +451,9 @@ def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
         return [0] * dim, [0] * dim
     guard = 36 + dim.bit_length() + math.ceil(0.5 * lam * math.log2(math.e))
     w = bits + guard
-    with mpmath.workprec(w + 8):
-        cr, ci = _fixed(mpmath.exp(-(mpmath.mpf(x) ** 2 + mpmath.mpf(p) ** 2) / 4), w), 0
-    big_x, big_p = _fixed(mpmath.mpf(x), w), _fixed(mpmath.mpf(p), w)
+    with decimal.localcontext(decimal.Context(prec=w // 3 + 4)):
+        cr, ci = _fixed((-(decimal.Decimal(x) ** 2 + decimal.Decimal(p) ** 2) / 4).exp(), w), 0
+    big_x, big_p = _fixed(x, w), _fixed(p, w)
     half, shift = 1 << (2 * w - 1), 2 * w
     re, im = [cr], [ci]
     for r in _fixed_step(dim, w):
@@ -474,7 +470,7 @@ def _fock_gram_fixed(rows, cols, cutoff: int, kind: str) -> tuple:
     if kind not in FOCK_GRAM_KINDS:
         raise ValueError(f"kind must be one of {FOCK_GRAM_KINDS}, got {kind!r}")
     dim = cutoff + 1
-    bits = mpmath.libmp.dps_to_prec(HP_DPS) + 32
+    bits = FRAC_BITS
     rows = [(float(p), float(x)) for p, x in rows]
     cols = [(float(p), float(x)) for p, x in cols]
     if not all(math.isfinite(v) for label in rows + cols for v in label):
@@ -512,7 +508,7 @@ def fock_gram_hp(rows, cols, cutoff: int, kind: str) -> np.ndarray:
     complex array of shape (len(rows), len(cols)).
 
     Each distinct label's coherent coefficients are computed once, correctly
-    rounded to integers with prec(HP_DPS) + 32 fractional bits (_fixed_coherent);
+    rounded to integers with FRAC_BITS fractional bits (_fixed_coherent);
     the X and P images use fixed-point band roots, and every element is one
     exact integer sum (an exact dot product, Kulisch-Miranker 1981), rounded
     once to complex at the end.
@@ -526,40 +522,58 @@ def fock_gram_hp(rows, cols, cutoff: int, kind: str) -> np.ndarray:
     return out
 
 
-def _hp_mode_element(label1, label2, cutoff: int, kind: str):
-    """One <label1|O|label2> of fock_gram_hp as an mpc, rounded once to the
-    working precision of the caller."""
-    re, im, frac = _fock_gram_fixed([label1], [label2], cutoff, kind)
-    return mpmath.mpc(mpmath.ldexp(int(re[0, 0]), -frac), mpmath.ldexp(int(im[0, 0]), -frac))
+def _fixed_phase(phi: Fraction, bits: int) -> tuple:
+    """(re, im) = round(exp(i phi) 2^bits), each within 0.5 + 2^-30 units: the
+    Taylor series of exp(i phi/2^s), |phi/2^s| <= 1, summed in integers with
+    w = bits + s + 40 fractional bits and squared s times; the 40 guard bits
+    cover the 2^s growth of every error made before the squarings."""
+    s = int(abs(phi)).bit_length()
+    w = bits + s + 40
+    y = _fixed(phi, bits + 40)  # phi/2^s with w fractional bits
+    re = tr = 1 << w
+    im = ti = k = 0
+    while tr or ti:
+        k += 1
+        # term *= i y / k, rounded to nearest, so |term| falls to 0
+        den = k << w
+        tr, ti = (den - 2 * ti * y) // (2 * den), (den + 2 * tr * y) // (2 * den)
+        re, im = re + tr, im + ti
+    for _ in range(s):
+        re, im = (re * re - im * im) >> w, (2 * re * im) >> w
+    return _fixed(Fraction(re, 1 << w), bits), _fixed(Fraction(im, 1 << w), bits)
 
 
-def _hp_phase(theta1, theta2):
-    return mpmath.exp(1j * (mpmath.mpf(float(theta2)) - mpmath.mpf(float(theta1))))
+def _hp_element(kind: str, pairs, theta1, theta2, cutoff: int) -> complex:
+    """exp(i(theta2 - theta1)) prod_k <l_k|O|r_k> over the label pairs
+    (l_k, r_k), one per mode: the exact integer sums of _fock_gram_fixed and
+    the fixed-point phase are multiplied exactly, then rounded once to complex."""
+    phi = Fraction(float(theta2)) - Fraction(float(theta1))  # exact
+    (re, im), frac = _fixed_phase(phi, FRAC_BITS), FRAC_BITS
+    for label1, label2 in pairs:
+        r, i, f = _fock_gram_fixed([label1], [label2], cutoff, kind)
+        r, i = r.item(), i.item()
+        re, im, frac = re * r - im * i, re * i + im * r, frac + f
+    # int / int is correctly rounded
+    return complex(re / (1 << frac), im / (1 << frac))
 
 
 def fock_overlap_hp(p1, x1, theta1, p2, x2, theta2, cutoff: int) -> complex:
     """Truncated Fock inner product from the exact per-mode sums of
-    fock_gram_hp, multiplied and phased at HP_DPS decimal digits.
+    fock_gram_hp, multiplied and phased exactly and rounded once.
 
     Factorizes over modes (exact for product states), so 3D sums cost three
     1D sums.
     """
-    p1, x1 = np.atleast_1d(p1), np.atleast_1d(x1)
-    p2, x2 = np.atleast_1d(p2), np.atleast_1d(x2)
-    with mpmath.workdps(HP_DPS):
-        total = mpmath.mpc(1)
-        for i in range(len(p1)):
-            total *= _hp_mode_element((p1[i], x1[i]), (p2[i], x2[i]), cutoff, "c")
-        return complex(total * _hp_phase(theta1, theta2))
+    p1, x1, p2, x2 = np.atleast_1d(p1, x1, p2, x2)
+    pairs = zip(zip(p1, x1, strict=True), zip(p2, x2, strict=True), strict=True)
+    return _hp_element("c", pairs, theta1, theta2, cutoff)
 
 
 def fock_matrix_element_hp(kind: str, p1, x1, theta1, p2, x2, theta2, cutoff: int) -> complex:
     """1D high-precision <s1|O|s2> with the ladder action applied exactly."""
     if kind not in ("X", "P"):
         raise ValueError("kind must be 'X' or 'P'")
-    with mpmath.workdps(HP_DPS):
-        element = _hp_mode_element((p1, x1), (p2, x2), cutoff, kind)
-        return complex(element * _hp_phase(theta1, theta2))
+    return _hp_element(kind, [((p1, x1), (p2, x2))], theta1, theta2, cutoff)
 
 
 # ---------------------------------------------------------------------------

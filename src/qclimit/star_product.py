@@ -57,21 +57,6 @@ class CRat:
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
-    def __add__(self, other: "CRat") -> "CRat":
-        return CRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CRat") -> "CRat":
-        return CRat(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "CRat") -> "CRat":
-        return CRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "CRat":
-        return CRat(-self.re, -self.im)
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 

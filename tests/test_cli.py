@@ -680,26 +680,27 @@ def test_c02_nan_bracket_term_is_not_swallowed(monkeypatch):
 NO_SCIPY_PROBE = """
 import json, sys
 import qclimit.cli
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy", "mpmath"))
 after_import = loaded()
 codes = [
     qclimit.cli.main(["--out", sys.argv[1], "--seed", "7", *argv])
-    for argv in (["all"], ["star-bracket"], ["star-limit-sweep"])
+    for argv in (["all"], ["star-bracket"], ["star-limit-sweep"], ["coherent-overlap", "--modes", "3"])
 ]
 print(json.dumps({"after_import": after_import, "codes": codes, "after_runs": loaded()}))
 """
 
 
 def test_import_and_all_load_no_scipy(tmp_path):
-    """scipy and sympy are test-only dependencies: a fresh interpreter imports
-    qclimit.cli and runs `all`, `star-bracket` and `star-limit-sweep` without
-    loading either."""
+    """scipy, sympy and mpmath are test-only dependencies: a fresh interpreter
+    imports qclimit.cli and runs `all`, `star-bracket`, `star-limit-sweep` and
+    `coherent-overlap --modes 3` (three-mode high-precision overlaps) without
+    loading any of them."""
     out = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path)], capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr
     probe = json.loads(out.stdout.splitlines()[-1])
-    assert probe == {"after_import": [], "codes": [0, 0, 0], "after_runs": []}
+    assert probe == {"after_import": [], "codes": [0, 0, 0, 0], "after_runs": []}
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import itertools
 import math
+from decimal import Decimal
+from fractions import Fraction
 from functools import reduce
 
 import mpmath
@@ -193,7 +195,7 @@ def test_coherent_state_coefficients_and_norm():
     c0 = np.exp(0.3j) * math.exp(-0.5 * abs(alpha) ** 2)
     assert abs(s.coefficients[0] - c0) < 1e-15
     assert abs(s.coefficients[3] - c0 * alpha**3 / math.sqrt(6.0)) < 1e-15
-    assert abs(s.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(s.coefficients) - 1.0) < 1e-12
     assert s.truncation_bound < 1e-12
 
 
@@ -396,6 +398,9 @@ def test_fock_gram_hp_rejects_unknown_kind_and_non_finite_labels():
         fock_matrix_element_hp("c", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, cutoff=8)
     with pytest.raises(ValueError, match="finite"):
         fock_gram_hp([(math.nan, 0.0)], [(0.0, 0.0)], 8, "c")
+    # every label carries one (p, x) per mode
+    with pytest.raises(ValueError, match="shorter"):
+        fock_overlap_hp([0.0, 0.0], [0.0, 0.0], 0.0, [0.0], [0.0], 0.0, cutoff=8)
 
 
 def _coherent_reference(p, x, dim, bits, dps=120):
@@ -408,6 +413,33 @@ def _coherent_reference(p, x, dim, bits, dps=120):
             c = c * z / mpmath.sqrt(2 * n)
             out.append(c)
         return [v * mpmath.mpf(2) ** bits for v in out]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-2.5, -0.75, 2.0**-11, -(2.0**-11), 3 * 2.0**-11, -3 * 2.0**-11, 5e-324, 1e300, -1e300, Fraction(-22, 7)],
+)
+@pytest.mark.parametrize("bits", [10, 135])
+def test_fixed_rounds_half_up_exactly(value, bits):
+    from qclimit.hilbert import _fixed
+
+    # floor(v 2^bits + 1/2) in exact rational arithmetic; ties (at bits = 10) go up
+    want = math.floor(Fraction(value) * 2**bits + Fraction(1, 2))
+    assert _fixed(value, bits) == want
+    assert _fixed(Decimal(value) if isinstance(value, float) else value, bits) == want
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7, -0.7, math.pi, -math.pi, 12.5, 1e3, 1e10, 1e300])
+def test_fixed_phase_is_correctly_rounded_against_mpmath(phi):
+    from qclimit.hilbert import FRAC_BITS, _fixed_phase
+
+    re, im = _fixed_phase(Fraction(phi), FRAC_BITS)
+    # the reference carries log2|phi| + 200 bits beyond FRAC_BITS, enough for the
+    # reduction of phi modulo 2 pi whatever mpmath's own guard bits
+    with mpmath.workprec(math.ceil(math.log2(abs(phi) + 1)) + 200 + FRAC_BITS):
+        ref = mpmath.exp(1j * mpmath.mpf(phi)) * mpmath.mpf(2) ** FRAC_BITS
+        # correctly rounded, but for values within 2^-20 units of a tie
+        assert max(abs(re - ref.real), abs(im - ref.imag)) <= 0.5 + 2.0**-20
 
 
 @pytest.mark.parametrize("p, x, cutoff", [(14.0, 14.0, 512), (3.0, -3.0, 64), (1.5, 0.0, 64), (0.0, 15.0, 64)])
@@ -813,7 +845,7 @@ def test_grid_space_validation():
 def test_grid_coherent_norm_and_guards():
     grid = GridSpace(10.0, 160)
     s = grid_coherent_state(grid, p=1.0, x=2.0, theta=0.4)
-    assert abs(s.norm() - 1.0) < 1e-9
+    assert abs(np.linalg.norm(s.coefficients) - 1.0) < 1e-9
     with pytest.raises(ValueError, match="box edge"):
         grid_coherent_state(grid, p=0.0, x=5.5)
     with pytest.raises(ValueError, match="band edge"):
