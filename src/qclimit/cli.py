@@ -45,6 +45,8 @@ MAX_SAMPLES = 100_000
 # the grid backend's time grows with the point count: about 2 s at 65536 on a
 # 2-CPU machine, so 10^8 points would run for about an hour
 MAX_GRID_POINTS = 65536
+# coherent-overlap's grid settings; only the grid backend reads them
+GRID_DEFAULTS = {"grid_extent": 10.0, "grid_points": 160}
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +632,9 @@ def _overlap_errors(labels, state, space) -> list[float]:
 def cmd_coherent_overlap(args) -> list[CheckRecord]:
     if args.modes == 3 and args.backend != "fock":
         raise ValueError("--modes 3 needs --backend fock: the grid backend is one-dimensional")
+    for name in GRID_DEFAULTS:
+        if args.backend == "fock" and name in vars(args):
+            raise ValueError(f"--{name.replace('_', '-')} needs --backend grid: the fock backend has no grid")
     rng = np.random.default_rng(args.seed)
     law = "overlap-closed-form"
     records = overlap_spot_check(args.cutoff, "spot-value")
@@ -645,6 +650,8 @@ def cmd_coherent_overlap(args) -> list[CheckRecord]:
             three_err = overlap_3d_max_rel_err(rng, 10)
             records.append(CheckRecord("three-mode-sample", law, three_err, 0.0, 1e-6))
     else:
+        for name, value in GRID_DEFAULTS.items():  # so the manifest records the grid used
+            vars(args).setdefault(name, value)
         grid = hilbert.GridSpace(args.grid_extent, args.grid_points)
         errors = _overlap_errors(rng.uniform(-2, 2, size=(50, 4)), hilbert.grid_coherent_state, grid)
         records.append(CheckRecord("grid-vs-closed-form", law, _worst(errors), 0.0, 1e-9))
@@ -771,8 +778,9 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--backend", default="fock", choices=["fock", "grid"])
     s.add_argument("--cutoff", type=_bounded(int, 2, contraction_lab.FOCK_MAX_CUTOFF), default=64)
     s.add_argument("--modes", type=int, default=1, choices=[1, 3])
-    s.add_argument("--grid-extent", type=_bounded(positive=True), default=10.0)
-    s.add_argument("--grid-points", type=_bounded(int, 8, MAX_GRID_POINTS), default=160)
+    # absent unless given: the fock backend rejects them, the grid backend fills in GRID_DEFAULTS
+    s.add_argument("--grid-extent", type=_bounded(positive=True), default=argparse.SUPPRESS)
+    s.add_argument("--grid-points", type=_bounded(int, 8, MAX_GRID_POINTS), default=argparse.SUPPRESS)
 
     s = command(
         "contract-sweep", "overlap decay under contraction", cmd_contract_sweep, writes_csv="contract_sweep.csv"
@@ -813,11 +821,6 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    parameters = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "out", "command", "writes_csv") and not callable(v)
-    }
     error = None
     try:
         result = args.func(args)
@@ -832,6 +835,12 @@ def main(argv=None) -> int:
         records, csv_rows = [CheckRecord("diagnostic", "plumbing", 1.0, 0.0, 0.0)], None
         error = f"{type(exc).__name__}: {exc}"
 
+    # read after the command ran, which fills in the defaults it resolves itself
+    parameters = {
+        k: v
+        for k, v in vars(args).items()
+        if k not in ("func", "out", "command", "writes_csv") and not callable(v)
+    }
     report = build_report(build_manifest(args.command, parameters, args.seed), records)
     if error is not None:
         report["error"] = error

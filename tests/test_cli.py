@@ -193,6 +193,35 @@ def test_coherent_overlap_grid_backend(tmp_path):
     assert check_by_id(report, "backend-cross-validation")["measured"] < 1e-7
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--grid-extent", "5"), "--grid-extent"),
+        (("--backend", "fock", "--grid-points", "8"), "--grid-points"),
+        (("--grid-points", "160", "--grid-extent", "10"), "--grid-extent"),
+    ],
+)
+def test_coherent_overlap_fock_backend_rejects_grid_options(tmp_path, capsys, argv, flag):
+    # the fock backend reads no grid, so a grid option there would only be claimed in the manifest
+    code, report = run_cli(tmp_path, "coherent-overlap", *argv)
+    assert code == 1
+    assert report["error"] == f"ValueError: {flag} needs --backend grid: the fock backend has no grid"
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_coherent_overlap_manifest_records_only_the_grid_used(tmp_path):
+    code, report = run_cli(tmp_path / "fock", "coherent-overlap")
+    assert code == 0
+    assert report["manifest"]["parameters"] == {"backend": "fock", "cutoff": 64, "modes": 1, "seed": 7}
+    code, report = run_cli(tmp_path / "grid", "coherent-overlap", "--backend", "grid")
+    assert code == 0
+    assert report["manifest"]["parameters"]["grid_extent"] == 10.0
+    assert report["manifest"]["parameters"]["grid_points"] == 160
+    code, report = run_cli(tmp_path / "grid8", "coherent-overlap", "--backend", "grid", "--grid-points", "8")
+    assert (report["manifest"]["parameters"]["grid_extent"], report["manifest"]["parameters"]["grid_points"]) == (10.0, 8)
+
+
 def test_coherent_overlap_guard_sets_error_exit(tmp_path):
     code = cli.main(["--out", str(tmp_path), "coherent-overlap", "--cutoff", "4"])
     assert code == 1

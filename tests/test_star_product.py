@@ -199,6 +199,57 @@ def test_text_parsing_round_trip():
     assert three.terms[(2, 0, 0, 0, 0, 0, 0)] == CRat(Fraction(-1, 3))
 
 
+def _reference_coefficient_text(c: CRat) -> str:
+    """A coefficient as to_text wrote it from CRat parts, through str(Fraction)."""
+    if c.im == 0:
+        return str(c.re)
+    if c.re == 0:
+        return {1: "i", -1: "-i"}.get(c.im, f"{c.im}*i")
+    return f"({c.re}{'+' if c.im > 0 else '-'}{abs(c.im)}*i)"
+
+
+def _reference_to_text(poly: PhasePolynomial) -> str:
+    """to_text rebuilt on the CRat view of the coefficients."""
+    pieces = []
+    for key in sorted(poly.terms, key=lambda k: (sum(k), k)):
+        names = [poly._var_name(slot) + (f"^{e}" if e > 1 else "") for slot, e in enumerate(key) if e]
+        cs, body = _reference_coefficient_text(poly.terms[key]), "*".join(names)
+        pieces.append(cs if not body else body if cs == "1" else "-" + body if cs == "-1" else f"{cs}*{body}")
+    return " + ".join(pieces).replace(" + -", " - ") if pieces else "0"
+
+
+def test_to_text_matches_the_crat_formatter():
+    edges = [
+        CRat(Fraction(1)),
+        CRat(Fraction(-1)),
+        CRat(im=Fraction(1)),
+        CRat(im=Fraction(-1)),
+        CRat(im=Fraction(3, 4)),
+        CRat(im=Fraction(-5, 2)),
+        CRat(im=Fraction(2)),
+        CRat(Fraction(-1, 2), Fraction(3, 4)),
+        CRat(Fraction(2), Fraction(1)),
+        CRat(Fraction(7, 6), Fraction(-1)),
+    ]
+    x, p = _x(), _p()
+    for c in edges:
+        for poly in (PhasePolynomial.constant(1, c), x.scale(c), (x * p).scale(c) + PhasePolynomial.constant(1, c)):
+            assert poly.to_text() == _reference_to_text(poly)
+    # all edges in one polynomial: one denominator (12) that each part reduces on its own
+    mixed = PhasePolynomial(1, {(i, 1, i % 2): c for i, c in enumerate(edges)})
+    assert mixed.den == 12
+    assert mixed.to_text() == _reference_to_text(mixed)
+    assert PhasePolynomial.constant(1, CRat(Fraction(2), Fraction(1))).to_text() == "(2+1*i)"
+    assert x.scale(CRat(Fraction(-1, 2), Fraction(3, 4))).to_text() == "(-1/2+3/4*i)*x"
+    assert from_text(1, "-i*p + i - 5/2*i*x").to_text() == "i - i*p - 5/2*i*x"
+    assert PhasePolynomial.zero(3).to_text() == _reference_to_text(PhasePolynomial.zero(3)) == "0"
+    rng = np.random.default_rng(909)
+    for dims, max_degree in [(1, 6)] * 30 + [(3, 3)] * 10:
+        f, g = (_rational_poly(rng, dims, max_degree, int(rng.integers(1, 5))) for _ in range(2))
+        for poly in (f, star(f, g), moyal_bracket(f, g)):
+            assert poly.to_text() == _reference_to_text(poly)
+
+
 def test_text_parsing_rejects_non_polynomials():
     rejected = [
         "sin(x)",
@@ -371,6 +422,33 @@ def test_star_matches_derivative_sum_on_rational_coefficients():
         zero = PhasePolynomial.zero(dims)
         for left, right in ((zero, f), (f, zero), (zero, zero)):
             assert star(left, right) == _reference_star(left, right) == zero
+
+
+def test_axis_star_sums_each_order_once():
+    """Every (j, l) of the double sum, grouped by order n = j + l: they share
+    the monomial x^(a+c-n) p^(b+d-n), and orders that sum to zero drop out."""
+    for a, b, c, d in itertools.product(range(7), repeat=4):
+        grouped = {}
+        for j in range(min(a, d) + 1):
+            for l in range(min(b, c) + 1):
+                coeff = (-1) ** l * math.comb(a, j) * math.perm(d, j) * math.comb(b, l) * math.perm(c, l)
+                key = (a - j + c - l, b - l + d - j, j + l)
+                grouped[key] = grouped.get(key, 0) + coeff
+        want = sorted(((*key, s) for key, s in grouped.items() if s), key=lambda entry: entry[2])
+        assert list(star_product._axis_star(a, b, c, d)) == want
+    # x p * x p: the two order-1 terms cancel
+    assert [n for _, _, n, _ in star_product._axis_star(1, 1, 1, 1)] == [0, 2]
+
+
+def test_star_and_bracket_share_one_expansion_per_key_pair():
+    rng = np.random.default_rng(505)
+    f, g = _rational_poly(rng, 3, 4, 4), _rational_poly(rng, 3, 4, 4)
+    star_product._monomial_star.cache_clear()
+    star(f, g)
+    info = star_product._monomial_star.cache_info()
+    assert info.misses == len({k[:-1] for k in f.nums}) * len({k[:-1] for k in g.nums})
+    moyal_bracket(f, g)
+    assert star_product._monomial_star.cache_info().misses == info.misses
 
 
 def test_star_is_associative_on_random_triples():
