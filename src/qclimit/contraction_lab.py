@@ -47,6 +47,7 @@ FOCK_MAX_CUTOFF = 4096  # the largest cutoff used; the float64 ladder check firs
 
 
 def hbar_effective(k: float) -> float:
+    """hbar = 1/k^2 at contraction parameter k; the one check of the rule k >= 1."""
     if not k >= 1.0:
         raise ValueError(f"contraction parameter must satisfy k >= 1, got {k}")
     return 1.0 / (k * k)
@@ -84,8 +85,8 @@ class ContractionRunConfig:
     def __post_init__(self):
         if not self.k_values:
             raise ValueError("need at least one k value")
-        if any(not k >= 1.0 for k in self.k_values):
-            raise ValueError("every k must satisfy k >= 1")
+        for k in self.k_values:
+            hbar_effective(k)  # raises unless k >= 1
         if not self.pairs:
             raise ValueError("need at least one label pair")
 

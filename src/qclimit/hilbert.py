@@ -29,13 +29,24 @@ ch. 13): O(N^2) per mode per vector.
 
 All tolerance-critical closed forms (overlap, matrix elements) have high
 precision Fock-sum counterparts (suffix _hp), so that formula checks are not
-polluted by float64 cancellation at small overlaps.  One kernel,
-fock_gram_hp, computes them as exact dot products (Kulisch-Miranker 1981):
-the coherent coefficients come from an integer recursion with guard bits
-(one stdlib decimal exp per label), correctly rounded to FRAC_BITS
-fractional bits; X and P act through fixed-point band roots, every sum is
-exact in integers, and so are the products over modes and the fixed-point
-phase exp(i(theta2 - theta1)), so each result is rounded once at the end.
+polluted by float64 cancellation at small overlaps.  They are exact dot
+products (Kulisch-Miranker 1981) of fixed-point integers: the coherent
+coefficients come from an integer recursion with guard bits (one stdlib
+decimal exp per label), correctly rounded to FRAC_BITS fractional bits, once
+per distinct label and call; X and P act through fixed-point band roots.
+fock_gram_hp sums a whole grid of label pairs, for one or more kinds, on
+BLAS (Ozaki-Ogita-Oishi-Rump 2012): each integer is split once into signed
+16-bit digits held in float64, and matmuls over the whole grid, one set
+per row digit, form every row-digit x column-digit product.  Each product
+is below 2^32 and each
+partial sum of 2N of them below 2^53 while N < 2^20 (larger N is refused),
+so every entry is exact whatever the BLAS summation order or thread count;
+the digit diagonals and carries are then added in int64 and each integer
+rebuilt once.  A single pair (fock_overlap_hp, fock_matrix_element_hp) uses
+the same coefficients and images with a plain integer dot, cheaper than
+digit arrays for one element.  The products over modes and the fixed-point
+phase exp(i(theta2 - theta1)) are exact too, so each result is rounded once
+at the end.
 The closed forms broadcast over grids of label pairs, so a grid check is one
 array expression.
 
@@ -48,6 +59,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -464,62 +476,134 @@ def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
     return [(v + half) >> guard for v in re], [(v + half) >> guard for v in im]
 
 
-def _fock_gram_fixed(rows, cols, cutoff: int, kind: str) -> tuple:
-    """Exact integer sums behind fock_gram_hp: (re, im, frac_bits), where
-    re + i im over 2^frac_bits is <r|O|c> for every row and column label."""
-    if kind not in FOCK_GRAM_KINDS:
-        raise ValueError(f"kind must be one of {FOCK_GRAM_KINDS}, got {kind!r}")
-    dim = cutoff + 1
-    bits = FRAC_BITS
+def _fixed_image(coeffs: tuple, kind: str) -> tuple:
+    """(re, im) of O c for fixed-point coefficients c = (re, im) with
+    FRAC_BITS fractional bits: c itself for "c", else the X or P image through
+    the fixed-point band roots, with 2 FRAC_BITS fractional bits."""
+    if kind == "c":
+        return coeffs
+    band = _fixed_band(len(coeffs[0]), FRAC_BITS)
+    # (a v)_n = s_{n+1} v_{n+1} and (a* v)_n = s_n v_{n-1}, with s the band
+    lowered = [[*map(operator.mul, band, v[1:]), 0] for v in coeffs]
+    raised = [[0, *map(operator.mul, band, v)] for v in coeffs]
+    if kind == "X":
+        return tuple([*map(operator.add, lo, ra)] for lo, ra in zip(lowered, raised))
+    # P v = -i (lowered - raised)
+    return [*map(operator.sub, lowered[1], raised[1])], [*map(operator.sub, raised[0], lowered[0])]
+
+
+def _frac_bits(kind: str) -> int:
+    """Fractional bits of the fixed-point <r|O|c>: bra times _fixed_image."""
+    return (2 if kind == "c" else 3) * FRAC_BITS
+
+
+def _fixed_coefficients(rows, cols, cutoff: int, kinds) -> tuple:
+    """(rows, cols, coefficients): the row and column labels as float pairs,
+    and each distinct label's _fixed_coherent (re, im), computed once."""
+    for kind in kinds:
+        if kind not in FOCK_GRAM_KINDS:
+            raise ValueError(f"kind must be one of {FOCK_GRAM_KINDS}, got {kind!r}")
     rows = [(float(p), float(x)) for p, x in rows]
     cols = [(float(p), float(x)) for p, x in cols]
     if not all(math.isfinite(v) for label in rows + cols for v in label):
         raise ValueError("labels must be finite")
-    fixed = {label: _fixed_coherent(*label, dim, bits) for label in dict.fromkeys(rows + cols)}
-    # real and imaginary parts as (labels, dim) arrays of Python ints
-    r_re, r_im = np.array([fixed[label] for label in rows], dtype=object).transpose(1, 0, 2)
-    c_re, c_im = np.array([fixed[label] for label in cols], dtype=object).transpose(1, 0, 2)
-    frac = 2 * bits
-    if kind != "c":
-        # (a v)_n = s_{n+1} v_{n+1} and (a* v)_n = s_n v_{n-1}, with s the band
-        band = np.array(_fixed_band(dim, bits), dtype=object)
-        lowered, raised = [], []
-        for v in (c_re, c_im):
-            lo, ra = np.zeros_like(v), np.zeros_like(v)
-            lo[:, :-1] = v[:, 1:] * band
-            ra[:, 1:] = v[:, :-1] * band
-            lowered.append(lo)
-            raised.append(ra)
-        if kind == "X":
-            c_re, c_im = (lo + ra for lo, ra in zip(lowered, raised))
+    coeffs = {label: _fixed_coherent(*label, cutoff + 1, FRAC_BITS) for label in dict.fromkeys(rows + cols)}
+    return rows, cols, coeffs
+
+
+DIGIT_BITS = 16
+# A product of two signed 16-bit digits is below 2^32 in magnitude, so a sum
+# of 2 dim of them is below dim 2^33: exact in float64 while dim < 2^20.
+MAX_EXACT_DIM = 1 << (53 - 2 * DIGIT_BITS - 1)
+
+
+def _digits(vectors) -> np.ndarray:
+    """Fixed-point vectors (re, im) as a float64 array of shape
+    (2 dim, len(vectors), D), entry [k, j] the k-th term of [re | im] of
+    vector j: each integer in D signed 16-bit digits, least significant
+    first with the top digit in two's complement, D the fewest that hold
+    every integer.  Each integer is converted once."""
+    ints = [v for vector in vectors for part in vector for v in part]
+    width = max(map(int.bit_length, ints), default=0) // DIGIT_BITS + 1
+    raw = b"".join(v.to_bytes(2 * width, "little", signed=True) for v in ints)
+    digits = np.frombuffer(raw, "<u2").reshape(len(vectors), -1, width).transpose(1, 0, 2)
+    out = np.array(digits, dtype=np.float64, order="C")
+    out[..., -1] = digits[..., -1].view("<i2")
+    return out
+
+
+def _digit_gram(bras: np.ndarray, kets: np.ndarray) -> list:
+    """Exact conj(b) . k for every bra b and ket k given as _digits arrays
+    (dim < MAX_EXACT_DIM): a flat list of Python ints, (re, im) per (bra, ket)
+    in row-major order.
+
+    For each bra digit, float64 matmuls give its products with every ket
+    digit: [b_re | b_im] . [k_re | k_im] for the real part and
+    b_re . k_im - b_im . k_re for the imaginary part, all exact integers.
+    They add into the digit diagonals in int64 (at most bras.shape[2], 9 for
+    coefficients, terms below 2^53 each), carries reduce the diagonals to
+    16-bit digits, and int.from_bytes rebuilds each integer once.
+    """
+    terms, n_bras, d_bra = bras.shape
+    _, n_kets, d_ket = kets.shape
+    half = terms // 2
+    right = kets.reshape(terms, n_kets * d_ket)
+    width = d_bra + d_ket + 2  # digits of the result, with room for the carries and the sign
+    acc = np.zeros((n_bras, n_kets, 2, width), dtype=np.int64)
+    for a in range(d_bra):
+        left = bras[:, :, a].T
+        re = left @ right
+        im = left[:, :half] @ right[half:]
+        im -= left[:, half:] @ right[:half]
+        acc[:, :, 0, a:a + d_ket] += re.astype(np.int64).reshape(n_bras, n_kets, d_ket)
+        acc[:, :, 1, a:a + d_ket] += im.astype(np.int64).reshape(n_bras, n_kets, d_ket)
+    for s in range(width - 1):
+        acc[..., s + 1] += acc[..., s] >> DIGIT_BITS
+    raw = (acc & 0xFFFF).astype("<u2").tobytes()
+    size = 2 * width
+    return [int.from_bytes(raw[i:i + size], "little", signed=True) for i in range(0, len(raw), size)]
+
+
+def _fock_gram_fixed(rows, cols, cutoff: int, kinds) -> list:
+    """Exact integer sums behind fock_gram_hp: per kind (re, im, frac_bits),
+    where re + i im over 2^frac_bits is <r|O|c> for every row and column
+    label, re and im object arrays of Python ints."""
+    if cutoff + 1 >= MAX_EXACT_DIM:
+        raise ValueError(f"exact digit products need cutoff + 1 < {MAX_EXACT_DIM}, got cutoff {cutoff}")
+    rows, cols, coeffs = _fixed_coefficients(rows, cols, cutoff, kinds)
+    index = {label: i for i, label in enumerate(coeffs)}
+    coeff_digits = _digits(list(coeffs.values()))
+    bras = coeff_digits[:, [index[label] for label in rows]]
+    out = []
+    for kind in kinds:
+        if kind == "c":
+            kets = coeff_digits[:, [index[label] for label in cols]]
         else:
-            # P v = -i (lowered - raised)
-            c_re, c_im = lowered[1] - raised[1], raised[0] - lowered[0]
-        frac += bits
-    # conj(r) . c = (r_re c_re + r_im c_im) + i (r_re c_im - r_im c_re)
-    re = r_re @ c_re.T + r_im @ c_im.T
-    im = r_re @ c_im.T - r_im @ c_re.T
-    return re, im, frac
+            kets = _digits([_fixed_image(coeffs[label], kind) for label in cols])
+        ints = np.array(_digit_gram(bras, kets), dtype=object).reshape(len(rows), len(cols), 2)
+        out.append((ints[..., 0], ints[..., 1], _frac_bits(kind)))
+    return out
 
 
-def fock_gram_hp(rows, cols, cutoff: int, kind: str) -> np.ndarray:
+def fock_gram_hp(rows, cols, cutoff: int, kinds) -> tuple:
     """<r|O|c> on the 1D Fock space truncated at `cutoff`, for every row label
-    r = (p, x) and column label c, with O the identity ("c"), X or P; a
-    complex array of shape (len(rows), len(cols)).
+    r = (p, x) and column label c, with O the identity ("c"), X or P: one
+    complex array of shape (len(rows), len(cols)) per kind in `kinds`.
 
-    Each distinct label's coherent coefficients are computed once, correctly
-    rounded to integers with FRAC_BITS fractional bits (_fixed_coherent);
-    the X and P images use fixed-point band roots, and every element is one
-    exact integer sum (an exact dot product, Kulisch-Miranker 1981), rounded
+    Each distinct label's coherent coefficients are computed once for all
+    kinds, correctly rounded to integers with FRAC_BITS fractional bits
+    (_fixed_coherent); the X and P images use fixed-point band roots, and
+    every element is one exact integer sum (an exact dot product,
+    Kulisch-Miranker 1981, on float64 digit products: _digit_gram), rounded
     once to complex at the end.
     """
-    re, im, frac = _fock_gram_fixed(rows, cols, cutoff, kind)
-    scale = 1 << frac
-    out = np.empty(re.shape, dtype=complex)
-    for idx in np.ndindex(re.shape):
+    out = []
+    for re, im, frac in _fock_gram_fixed(rows, cols, cutoff, kinds):
+        scale = 1 << frac
         # int / int is correctly rounded
-        out[idx] = complex(re[idx] / scale, im[idx] / scale)
-    return out
+        values = [complex(r / scale, i / scale) for r, i in zip(re.flat, im.flat)]
+        out.append(np.array(values, dtype=complex).reshape(re.shape))
+    return tuple(out)
 
 
 def _fixed_phase(phi: Fraction, bits: int) -> tuple:
@@ -545,14 +629,19 @@ def _fixed_phase(phi: Fraction, bits: int) -> tuple:
 
 def _hp_element(kind: str, pairs, theta1, theta2, cutoff: int) -> complex:
     """exp(i(theta2 - theta1)) prod_k <l_k|O|r_k> over the label pairs
-    (l_k, r_k), one per mode: the exact integer sums of _fock_gram_fixed and
-    the fixed-point phase are multiplied exactly, then rounded once to complex."""
+    (l_k, r_k), one per mode: each factor is a plain integer dot over the
+    fixed-point vectors fock_gram_hp uses (for one pair, cheaper than digit
+    arrays); the factors and the fixed-point phase are multiplied exactly,
+    then rounded once to complex."""
     phi = Fraction(float(theta2)) - Fraction(float(theta1))  # exact
     (re, im), frac = _fixed_phase(phi, FRAC_BITS), FRAC_BITS
     for label1, label2 in pairs:
-        r, i, f = _fock_gram_fixed([label1], [label2], cutoff, kind)
-        r, i = r.item(), i.item()
-        re, im, frac = re * r - im * i, re * i + im * r, frac + f
+        (row,), (col,), coeffs = _fixed_coefficients([label1], [label2], cutoff, (kind,))
+        # conj(bra) . ket = (b_re k_re + b_im k_im) + i (b_re k_im - b_im k_re), in integers
+        (b_re, b_im), (k_re, k_im) = coeffs[row], _fixed_image(coeffs[col], kind)
+        r = sum(map(operator.mul, b_re, k_re)) + sum(map(operator.mul, b_im, k_im))
+        i = sum(map(operator.mul, b_re, k_im)) - sum(map(operator.mul, b_im, k_re))
+        re, im, frac = re * r - im * i, re * i + im * r, frac + _frac_bits(kind)
     # int / int is correctly rounded
     return complex(re / (1 << frac), im / (1 << frac))
 

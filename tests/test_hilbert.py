@@ -355,8 +355,8 @@ def test_fock_gram_hp_matches_fsum_reference_on_the_label_grid(kind):
     from qclimit.hilbert import _fock_gram_fixed
 
     ref = _fsum_reference(GRID_LABELS, GRID_LABELS, 64, kind)
-    got = fock_gram_hp(GRID_LABELS, GRID_LABELS, 64, kind)
-    re, im, frac = _fock_gram_fixed(GRID_LABELS, GRID_LABELS, 64, kind)
+    (got,) = fock_gram_hp(GRID_LABELS, GRID_LABELS, 64, (kind,))
+    ((re, im, frac),) = _fock_gram_fixed(GRID_LABELS, GRID_LABELS, 64, (kind,))
     assert got.shape == (25, 25)
     with mpmath.workdps(50):
         for i, j in itertools.product(range(25), repeat=2):
@@ -370,7 +370,7 @@ def test_fock_gram_hp_matches_fsum_reference_on_the_label_grid(kind):
 def test_fock_gram_hp_rectangular_rows_and_columns():
     rows = [(0.3, -1.2), (2.0, 0.5)]
     cols = [(-0.7, 0.1), (0.3, -1.2), (1.1, 1.1)]
-    got = fock_gram_hp(rows, cols, 24, "X")
+    (got,) = fock_gram_hp(rows, cols, 24, ("X",))
     ref = _fsum_reference(rows, cols, 24, "X")
     assert got.shape == (2, 3)
     for i, j in itertools.product(range(2), range(3)):
@@ -389,6 +389,110 @@ def test_fock_overlap_hp_matches_fsum_reference_in_three_modes():
             ref *= mpmath.exp(1j * (mpmath.mpf(t2) - mpmath.mpf(t1)))
             got = fock_overlap_hp(p1, x1, t1, p2, x2, t2, cutoff=16)
             assert abs(got - complex(ref)) <= 1e-28
+
+
+def _plain_gram(rows, cols, cutoff, kind):
+    """Test-local reference for _fock_gram_fixed: the same _fixed_coherent
+    vectors, the X and P images and every sum in plain Python ints."""
+    from qclimit.hilbert import FRAC_BITS, _fixed_band, _fixed_coherent
+
+    dim = cutoff + 1
+    band = [0, *_fixed_band(dim, FRAC_BITS), 0]  # band[n] = floor(sqrt(n/2) 2^bits), zero outside 1..dim-1
+
+    def ket(c):
+        if kind == "c":
+            return c
+        lowered = [[band[n + 1] * v[n + 1] if n + 1 < dim else 0 for n in range(dim)] for v in c]
+        raised = [[band[n] * v[n - 1] if n else 0 for n in range(dim)] for v in c]
+        if kind == "X":
+            return [[a + b for a, b in zip(lo, ra)] for lo, ra in zip(lowered, raised)]
+        return [[a - b for a, b in zip(lowered[1], raised[1])], [b - a for a, b in zip(lowered[0], raised[0])]]
+
+    coeffs = {label: _fixed_coherent(*label, dim, FRAC_BITS) for label in rows + cols}
+    re, im = [], []
+    for r in rows:
+        b_re, b_im = coeffs[r]
+        re.append([])
+        im.append([])
+        for c in cols:
+            k_re, k_im = ket(coeffs[c])
+            re[-1].append(sum(a * b for a, b in zip(b_re, k_re)) + sum(a * b for a, b in zip(b_im, k_im)))
+            im[-1].append(sum(a * b for a, b in zip(b_re, k_im)) - sum(a * b for a, b in zip(b_im, k_re)))
+    return re, im
+
+
+def _assert_gram_fixed_is_exact(rows, cols, cutoff):
+    from qclimit.hilbert import FRAC_BITS, _fock_gram_fixed
+
+    got = _fock_gram_fixed(rows, cols, cutoff, ("c", "X", "P"))
+    for kind, (re, im, frac) in zip(("c", "X", "P"), got):
+        want_re, want_im = _plain_gram(rows, cols, cutoff, kind)
+        assert re.shape == im.shape == (len(rows), len(cols))
+        assert [[int(v) for v in row] for row in re] == want_re
+        assert [[int(v) for v in row] for row in im] == want_im
+        assert frac == (2 if kind == "c" else 3) * FRAC_BITS
+
+
+def test_fock_gram_fixed_is_exact_on_the_label_grid_for_every_kind():
+    _assert_gram_fixed_is_exact(GRID_LABELS, GRID_LABELS, 64)
+
+
+def test_fock_gram_fixed_is_exact_on_rectangular_grams_with_all_zero_labels():
+    from qclimit.hilbert import _fixed_coherent
+
+    # at (60, -60) and (0, 90) every coefficient rounds to 0 at cutoff 16
+    far = [(60.0, -60.0), (0.0, 90.0)]
+    assert all(_fixed_coherent(*label, 17, 135) == ([0] * 17, [0] * 17) for label in far)
+    _assert_gram_fixed_is_exact([(0.3, -1.2), far[0], (2.0, 0.5)], [(-0.7, 0.1), (0.3, -1.2), far[1], (1.1, 1.1)], 16)
+    _assert_gram_fixed_is_exact(far, far, 16)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 16, 64, 512, 2048])
+def test_fock_gram_fixed_is_exact_on_random_signed_labels(cutoff):
+    rng = np.random.default_rng(cutoff)
+    n = 2 if cutoff >= 512 else 4
+    rows = [tuple(v) for v in rng.uniform(-4.0, 4.0, size=(n, 2))]
+    cols = [tuple(v) for v in rng.uniform(-4.0, 4.0, size=(n + 1, 2))]
+    _assert_gram_fixed_is_exact(rows, cols, cutoff)
+
+
+def test_digits_rebuild_edge_integers_and_their_negations():
+    from qclimit.hilbert import _digits
+
+    edges = [0, 1, -1, 2**15, -(2**15), 2**16 - 1, -(2**16), 2**135, -(2**135), 2**135 - 1, 3**90, -(3**90)]
+    for vectors in ([(edges, edges[::-1])], [([v], [-v]) for v in edges]):
+        digits = _digits(vectors)
+        assert digits.shape[:2] == (2 * len(vectors[0][0]), len(vectors))
+        assert np.all(digits[..., :-1] >= 0) and np.all(digits[..., :-1] < 2**16)
+        assert np.all(np.abs(digits[..., -1]) <= 2**15)
+        # term-major: [k, j] is the k-th term of [re | im] of vector j
+        rows = digits.transpose(1, 0, 2).reshape(-1, digits.shape[2])
+        want = [v for vector in vectors for part in vector for v in part]
+        assert [sum(int(d) << (16 * a) for a, d in enumerate(row)) for row in rows] == want
+        # the negated digit array holds the negated integers
+        assert [sum(int(d) << (16 * a) for a, d in enumerate(row)) for row in -rows] == [-v for v in want]
+
+
+def test_digit_products_stay_exact_below_the_dimension_bound():
+    from qclimit.hilbert import MAX_EXACT_DIM, _fock_gram_fixed
+
+    # |digit| <= 2^16 - 1 on either side, and a dot product sums 2 dim digit products
+    assert 2 * (MAX_EXACT_DIM - 1) * (2**16 - 1) ** 2 < 2**53
+    assert MAX_EXACT_DIM == 2**20
+    # refused before any coefficient is computed, so nothing of size 2^20 is allocated
+    with pytest.raises(ValueError, match="exact digit products"):
+        _fock_gram_fixed([(0.0, 0.0)], [(0.0, 0.0)], MAX_EXACT_DIM - 1, ("c",))
+
+
+@pytest.mark.parametrize("cutoff", [1, 16, 64])
+def test_pair_path_equals_the_gram_element_bit_for_bit(cutoff):
+    rng = np.random.default_rng(100 + cutoff)
+    labels = [tuple(v) for v in rng.uniform(-3.0, 3.0, size=(4, 2))] + [(60.0, -60.0)]
+    grams = fock_gram_hp(labels, labels, cutoff, ("c", "X", "P"))
+    for (i, (p1, x1)), (j, (p2, x2)) in itertools.product(enumerate(labels), repeat=2):
+        assert fock_overlap_hp(p1, x1, 0.0, p2, x2, 0.0, cutoff=cutoff) == grams[0][i, j]
+        for kind, gram in zip(("X", "P"), grams[1:]):
+            assert fock_matrix_element_hp(kind, p1, x1, 0.0, p2, x2, 0.0, cutoff=cutoff) == gram[i, j]
 
 
 def test_fock_gram_hp_rejects_unknown_kind_and_non_finite_labels():
