@@ -34,7 +34,6 @@ import numpy as np
 import qclimit
 from qclimit import contraction_lab, coset_rep, hilbert, lie_core, star_product
 
-ACCEPT_EPS = (0.0, 1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0, 1.0)
 GRID_VALUES = (-3.0, -1.5, 0.0, 1.5, 3.0)
 # the flow integrates dense N x N matrices, O(N^3) time: about 1 s at 512,
 # and minutes and gigabytes at the 4096 of FOCK_MAX_CUTOFF
@@ -202,8 +201,9 @@ def overlap_3d_max_rel_err(rng, n_pairs: int) -> float:
 
 def algebra_axiom_check(table, prefix: str) -> list[CheckRecord]:
     """Worst bracket antisymmetry (exact) and Jacobi defect of a structure
-    constant table over ACCEPT_EPS, with check IDs prefixed by `prefix`."""
-    ver = lie_core.verify_algebra(table, ACCEPT_EPS)
+    constant table, per eps power (so at every eps), with check IDs prefixed
+    by `prefix`."""
+    ver = lie_core.verify_algebra_symbolic(table)
     return [
         CheckRecord(f"{prefix}antisymmetry", "bracket-antisymmetry", ver.antisymmetry_max, 0.0, 0.0),
         CheckRecord(f"{prefix}jacobi", "jacobi-identity", ver.jacobi_max, 0.0, 1e-12),
@@ -422,44 +422,42 @@ def classical_limit_check(sweep, prefix: str) -> list[CheckRecord]:
     raise ValueError("need a nonzero bracket deviation at two or more distinct hbar values to fit a slope")
 
 
-def criterion_10_star_algebra(rng, seed: int) -> list[CheckRecord]:
+def star_laws_check(check_id: str) -> list[CheckRecord]:
+    """Failing cases of star associativity on every ordered triple, bracket
+    antisymmetry on every ordered pair and the Jacobi cyclic sum on every
+    triple of distinct monomials, over the 15 1D basis monomials of degree
+    <= 4.  Both laws are trilinear over C, so this covers every triple of
+    degree-<=4 polynomials; each pair product and bracket is computed once."""
+    basis = list(star_product.monomial_basis(1, 4))
+    pairs = list(itertools.product(range(len(basis)), repeat=2))
+    prod = {(i, j): star_product.star(basis[i], basis[j]) for i, j in pairs}
+    bracket = {(i, j): star_product.moyal_bracket(basis[i], basis[j]) for i, j in pairs}
+    defects = sum(
+        star_product.star(prod[i, j], basis[k]) != star_product.star(basis[i], prod[j, k])
+        for (i, j), k in itertools.product(pairs, range(len(basis)))
+    )
+    defects += sum(bracket[i, j] != -bracket[j, i] for i, j in pairs)
+    # an antisymmetric bracket makes the cyclic sum alternating, so sorted distinct triples suffice
+    for i, j, k in itertools.combinations(range(len(basis)), 3):
+        cyc = (
+            star_product.moyal_bracket(basis[i], bracket[j, k])
+            + star_product.moyal_bracket(basis[j], bracket[k, i])
+            + star_product.moyal_bracket(basis[k], bracket[i, j])
+        )
+        defects += not cyc.is_zero
+    return [CheckRecord(check_id, "star-associativity", float(defects), 0.0, 0.0)]
+
+
+def criterion_10_star_algebra(seed: int) -> list[CheckRecord]:
     x = star_product.PhasePolynomial.variable(1, "x")
     p = star_product.PhasePolynomial.variable(1, "p")
-
-    def random_poly():
-        nums = {}
-        for _ in range(4):
-            while True:
-                ex, ep = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-                if ex + ep <= 4:
-                    break
-            re, im = int(rng.integers(-3, 4)), int(rng.integers(-2, 3))
-            old_re, old_im = nums.get((ex, ep, 0), (0, 0))
-            nums[(ex, ep, 0)] = (old_re + re, old_im + im)
-        return star_product.PhasePolynomial._of(1, 1, nums)
-
-    defects = 0
-    for _ in range(100):
-        f, g, h = random_poly(), random_poly(), random_poly()
-        if star_product.star(star_product.star(f, g), h) != star_product.star(
-            f, star_product.star(g, h)
-        ):
-            defects += 1
-        cyc = (
-            star_product.moyal_bracket(f, star_product.moyal_bracket(g, h))
-            + star_product.moyal_bracket(g, star_product.moyal_bracket(h, f))
-            + star_product.moyal_bracket(h, star_product.moyal_bracket(f, g))
-        )
-        if not cyc.is_zero:
-            defects += 1
-
     sweep = star_product.classical_limit_sweep(x * x * x, p * p * p, seed=seed)
     flow = star_product.harmonic_evolution_check()
     flow_defect = 0.0 if (
         flow["quadratic_flow_has_no_corrections"] and flow["closes_on_linear_span"]
     ) else 1.0
     return [
-        CheckRecord("C10.associativity-jacobi", "star-associativity", float(defects), 0.0, 0.0),
+        *star_laws_check("C10.associativity-jacobi"),
         *star_commutator_check("C10.canonical-commutator"),
         *classical_limit_check(sweep, "C10.classical-"),
         CheckRecord("C10.quadratic-flow-exact", "harmonic-star-flow", flow_defect, 0.0, 0.0),
@@ -496,10 +494,10 @@ def criterion_12_determinism(seed: int) -> list[CheckRecord]:
     """
 
     def payload():
-        records = []
-        records.extend(criterion_01_algebra_axioms())
-        records.extend(criterion_03_group_law(np.random.default_rng(seed)))
-        manifest = build_manifest("determinism-probe", {"seed": seed}, seed, timestamp="")
+        rng = np.random.default_rng(seed)
+        records = [*criterion_01_algebra_axioms(), *criterion_03_group_law(rng)]
+        # with the generator state after the draw, so that changed samples change the payload
+        manifest = build_manifest("determinism-probe", {"seed": seed, "rng": rng.bit_generator.state}, seed, "")
         return serialize_report(build_report(manifest, records))
 
     same = payload() == payload()
@@ -517,7 +515,7 @@ CRITERION_RUNNERS = {
     7: ("operator realization", lambda rng, seed: criterion_07_operator_realization()),
     8: ("contraction sweep", lambda rng, seed: criterion_08_contraction_sweep()),
     9: ("eigenvalue emergence", lambda rng, seed: criterion_09_eigenvalue_emergence()),
-    10: ("star algebra", lambda rng, seed: criterion_10_star_algebra(rng, seed)),
+    10: ("star algebra", lambda rng, seed: criterion_10_star_algebra(seed)),
     11: ("projective flow", lambda rng, seed: criterion_11_projective_flow()),
     12: ("determinism", lambda rng, seed: criterion_12_determinism(seed)),
 }
@@ -586,7 +584,7 @@ _finite_float = _bounded()
 
 def cmd_algebra_verify(args) -> list[CheckRecord]:
     records = algebra_axiom_check(lie_core.build_standard_algebra(args.builtin), "")
-    # per eps power of the rescaled family, so Jacobi holds at every k, not only at ACCEPT_EPS
+    # the rescaled family carries eps = 1/k^2, so Jacobi per eps power holds at every k
     sym = lie_core.verify_algebra_symbolic(lie_core.standard_contraction_family(args.builtin).rescaled)
     records.append(CheckRecord("jacobi-per-power", "jacobi-identity", sym.jacobi_max, 0.0, 0.0))
     return records

@@ -175,7 +175,7 @@ class OffsetOperator:
     the offsets of A are taken in sorted order, which is the order of the
     intermediate basis index, so every entry sums its terms as a CSR product
     does.  Supports `@` (with an operator or a coefficient vector), `+`, `-`,
-    scalar `*` and `/`, and toarray() for the dense matrix.
+    scalar `*`, and toarray() for the dense matrix.
     """
 
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
@@ -213,11 +213,6 @@ class OffsetOperator:
         return OffsetOperator(self.grid, {d: scalar * b for d, b in self.bands.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return OffsetOperator(self.grid, {d: b / scalar for d, b in self.bands.items()})
 
     def __matmul__(self, other):
         if isinstance(other, OffsetOperator):
@@ -505,6 +500,8 @@ def _fixed_coefficients(rows, cols, cutoff: int, kinds) -> tuple:
             raise ValueError(f"kind must be one of {FOCK_GRAM_KINDS}, got {kind!r}")
     rows = [(float(p), float(x)) for p, x in rows]
     cols = [(float(p), float(x)) for p, x in cols]
+    if not rows or not cols:
+        raise ValueError(f"need at least one row and one column label, got {len(rows)} and {len(cols)}")
     if not all(math.isfinite(v) for label in rows + cols for v in label):
         raise ValueError("labels must be finite")
     coeffs = {label: _fixed_coherent(*label, cutoff + 1, FRAC_BITS) for label in dict.fromkeys(rows + cols)}

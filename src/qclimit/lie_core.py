@@ -181,7 +181,8 @@ def build_standard_algebra(name: str) -> StructureConstantTable:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Worst antisymmetry / Jacobi violations over the sampled eps values."""
+    """Worst antisymmetry / Jacobi violations over the sampled eps values or
+    over every eps power."""
 
     antisymmetry_max: float
     jacobi_max: float

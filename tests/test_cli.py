@@ -59,7 +59,7 @@ def test_algebra_verify_extended_table(tmp_path):
 
 def test_jacobi_per_power_checks_the_rescaled_family(tmp_path, monkeypatch):
     """One rotation bracket of the rescaled table moved to eps^1 breaks Jacobi
-    at finite k; `jacobi` samples the base table and still passes."""
+    at finite k; `jacobi` checks the eps-free base table and still passes."""
     family = cli.lie_core.standard_contraction_family("HR3")
     scaled = family.rescaled
     moved = {(scaled.index("J23"), scaled.index("X2")), (scaled.index("X2"), scaled.index("J23"))}
@@ -504,6 +504,23 @@ def test_battery_seed_reaches_the_classical_limit_sweep(monkeypatch):
     monkeypatch.setattr(cli.star_product, "classical_limit_sweep", spy)
     cli.CRITERION_RUNNERS[10][1](np.random.default_rng(8), 8)
     assert seeds == [8]
+
+
+def test_star_laws_check_covers_every_basis_triple(monkeypatch):
+    """15 monomials: 225 pair products, then two products per ordered triple
+    (3,375); 225 pair brackets, each compared with its mirror, then three
+    outer brackets per triple of distinct monomials (455)."""
+    calls = {"star": 0, "moyal_bracket": 0}
+    for name in calls:
+
+        def counted(f, g, _law=getattr(cli.star_product, name), _name=name):
+            calls[_name] += 1
+            return _law(f, g)
+
+        monkeypatch.setattr(cli.star_product, name, counted)
+    (record,) = cli.star_laws_check("laws")
+    assert calls == {"star": 225 + 2 * 15**3, "moyal_bracket": 225 + 3 * 455}
+    assert (record.measured, record.passed) == (0.0, True)
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ def test_effective_hbar_mapping():
 def test_rescaled_commutator_gives_effective_hbar():
     space = build_fock_space(1, 16)
     for k in (1.0, 3.0, 8.0):
-        xc, pc = space.x_op() / k, space.p_op() / k
+        xc, pc = (1.0 / k) * space.x_op(), (1.0 / k) * space.p_op()
         comm = (xc @ pc - pc @ xc).toarray()
         body = comm[:-1, :-1]
         target = 1j * hbar_effective(k) * np.eye(space.dim - 1)

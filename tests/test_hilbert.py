@@ -507,6 +507,16 @@ def test_fock_gram_hp_rejects_unknown_kind_and_non_finite_labels():
         fock_overlap_hp([0.0, 0.0], [0.0, 0.0], 0.0, [0.0], [0.0], 0.0, cutoff=8)
 
 
+@pytest.mark.parametrize("kind", ["c", "X", "P"])
+@pytest.mark.parametrize("rows, cols", [([], [(0.5, 1.0)]), ([(0.5, 1.0)], [])], ids=["no-rows", "no-cols"])
+def test_fock_gram_hp_rejects_empty_label_lists_before_any_work(monkeypatch, kind, rows, cols):
+    from qclimit import hilbert
+
+    monkeypatch.setattr(hilbert, "_fixed_coherent", None)  # any coefficient work would raise TypeError
+    with pytest.raises(ValueError, match="at least one row and one column label, got"):
+        fock_gram_hp(rows, cols, 8, (kind,))
+
+
 def _coherent_reference(p, x, dim, bits, dps=120):
     """c_n 2^bits for n < dim by the plain recursion at `dps` digits."""
     with mpmath.workdps(dps):
@@ -894,7 +904,7 @@ def test_offset_operators_equal_the_csr_reference():
     for a, b in [("J23", "X2"), ("P1", "J12"), ("J31", "J23")]:
         assert np.abs((ops[a] @ ops[b]).toarray() - (ref[a] @ ref[b]).toarray()).max() <= 1e-14
         assert np.abs(ops[a] @ c - ref[a] @ c).max() <= 1e-13
-    mixed = np.float64(0.5) * ops["X1"] - 2j * ops["P3"] + ops["J12"] / 4.0
+    mixed = np.float64(0.5) * ops["X1"] - 2j * ops["P3"] + 0.25 * ops["J12"]
     want = 0.5 * ref["X1"] - 2j * ref["P3"] + ref["J12"] / 4.0
     assert np.array_equal(mixed.toarray(), want.toarray())
     with pytest.raises(ValueError, match="different spaces"):

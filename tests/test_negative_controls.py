@@ -1,0 +1,147 @@
+"""Negative controls: each mutant breaks one piece of the program, and the
+checks it targets must fail while their report still serializes.
+
+A check that no broken program can fail has measured nothing; this is
+mutation analysis (DeMillo, Lipton & Sayward, Computer 11(4), 1978), written
+by hand.  Each case runs only the criteria its mutant targets, from a seed-7
+generator, and asserts the exact set of failing check IDs.  The caches a
+mutant reaches are cleared before and after each case, so that no genuine
+value hides a mutant and no mutated value outlives its case.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from qclimit import cli, contraction_lab, hilbert, lie_core, star_product
+
+CACHES = (star_product._monomial_star, hilbert._quadrature_bands, hilbert._x_spectrum)
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+    yield
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def failing_ids(criteria) -> set:
+    """IDs of the failing checks of the given criteria, read back from their
+    serialized report."""
+    rng = np.random.default_rng(7)
+    records = []
+    for number in criteria:
+        result = cli.CRITERION_RUNNERS[number][1](rng, 7)
+        records.extend(result[0] if isinstance(result, tuple) else result)
+    manifest = cli.build_manifest("all", {"seed": 7}, 7, timestamp="")
+    report = json.loads(cli.serialize_report(cli.build_report(manifest, records)))
+    return {check["check_id"] for check in report["checks"] if not check["pass"]}
+
+
+def x_star_p8_sign(monkeypatch):
+    """x * p^8 with its order-1 entry negated: a degree-9 product that only
+    the associativity of x, p^4, p^4 reaches."""
+    genuine = star_product._monomial_star
+
+    def mutant(f_xp, g_xp):
+        parts = genuine(f_xp, g_xp)
+        if (f_xp, g_xp) != ((1, 0), (0, 8)):
+            return parts
+        return tuple(tuple((xp, n, -c if n == 1 else c) for xp, n, c in part) for part in parts)
+
+    monkeypatch.setattr(star_product, "_monomial_star", mutant)
+
+
+def unflipped_mirror(monkeypatch):
+    """make_table stores its first mirrored entry without the sign flip."""
+    genuine = lie_core.make_table
+
+    def mutant(name, generators, half_entries):
+        table = genuine(name, generators, half_entries)
+        (a, b), terms = next(iter(half_entries.items()))
+        return lie_core.StructureConstantTable(name, generators, {**table.entries, (b, a): tuple(terms)})
+
+    monkeypatch.setattr(lie_core, "make_table", mutant)
+
+
+def weighted_rotations(monkeypatch):
+    """The contraction family gives the rotations weight 1, like X and P."""
+
+    def mutant(name="HR3"):
+        table = lie_core.build_standard_algebra(name)
+        roles = ("rotation", "position", "momentum")
+        return lie_core.ContractionFamily(table, {g.name: 1 for g in table.generators if g.role in roles})
+
+    monkeypatch.setattr(lie_core, "standard_contraction_family", mutant)
+
+
+def limit_without_j23_x2(monkeypatch):
+    """The limit table drops [J23, X2] and its mirror."""
+    genuine = lie_core.limit_algebra
+
+    def mutant(family):
+        table = genuine(family)
+        dropped = {(table.index("J23"), table.index("X2")), (table.index("X2"), table.index("J23"))}
+        entries = {pair: terms for pair, terms in table.entries.items() if pair not in dropped}
+        return lie_core.StructureConstantTable(table.name, table.generators, entries)
+
+    monkeypatch.setattr(lie_core, "limit_algebra", mutant)
+
+
+def stretched_relabel(monkeypatch):
+    """relabel_coherent scales the labels by 1.05 k instead of k."""
+    genuine = contraction_lab.relabel_coherent
+    monkeypatch.setattr(contraction_lab, "relabel_coherent", lambda space, k, *label: genuine(space, 1.05 * k, *label))
+
+
+def short_sqrt2(monkeypatch):
+    """The sqrt(2) of the quadratures is 1e-9 short."""
+    monkeypatch.setattr(hilbert, "SQRT2", hilbert.SQRT2 * (1 - 1e-9))
+
+
+def unseeded_generator(monkeypatch):
+    """Every generator ignores its seed, so C12's two probe runs draw
+    different samples whose worst errors can still agree."""
+    genuine = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: genuine())
+
+
+MUTANTS = [
+    (x_star_p8_sign, (10,), {"C10.associativity-jacobi"}),
+    (
+        unflipped_mirror,
+        (1, 2),
+        {
+            "C01.hr3-antisymmetry",
+            "C01.hr3-jacobi",
+            "C01.hr3_with_h-antisymmetry",
+            "C01.hr3_with_h-jacobi",
+            "C02.limit-jacobi",
+        },
+    ),
+    (weighted_rotations, (2,), {"C02.rotation-sector-unchanged"}),
+    (limit_without_j23_x2, (2,), {"C02.limit-jacobi", "C02.rotation-sector-unchanged"}),
+    (
+        stretched_relabel,
+        (8, 9),
+        {
+            "C08.fock-decay",
+            "C08.decay-slope",
+            "C09.element-ratio",
+            "C09.contracted-diagonal",
+            "C09.gram-offdiagonal",
+            "C09.localization",
+        },
+    ),
+    (short_sqrt2, (4, 5, 9), {"C04.overlap-spot", "C05.diagonal-labels", "C09.contracted-diagonal"}),
+    (unseeded_generator, (12,), {"C12.determinism"}),
+]
+
+
+@pytest.mark.parametrize(("mutate", "criteria", "failing"), MUTANTS, ids=[m[0].__name__ for m in MUTANTS])
+def test_mutant_fails_its_checks(monkeypatch, mutate, criteria, failing):
+    mutate(monkeypatch)
+    assert failing_ids(criteria) == failing
