@@ -413,6 +413,8 @@ def test_star_bracket_prints_exact_correction(tmp_path, capsys):
     assert "-3/2*hbar^2 + 9*x^2*p^2" in out
     assert "-3/200 + 9*x^2*p^2" in out
     assert check_by_id(report, "cubic-correction-coefficient")["measured"] == -1.5
+    # filed under the law name C01 uses for the same axiom
+    assert check_by_id(report, "bracket-antisymmetry-exact")["law"] == "bracket-antisymmetry"
 
 
 def test_star_bracket_keys_the_cubic_check_on_the_parsed_polynomials(tmp_path):
@@ -507,9 +509,11 @@ def test_battery_seed_reaches_the_classical_limit_sweep(monkeypatch):
 
 
 def test_star_laws_check_covers_every_basis_triple(monkeypatch):
-    """15 monomials: 225 pair products, then two products per ordered triple
-    (3,375); 225 pair brackets, each compared with its mirror, then three
-    outer brackets per triple of distinct monomials (455)."""
+    """15 monomials: 225 pair products and 225 pair brackets, then one
+    banded product per side for each ordered pair and one banded bracket per
+    outer monomial.  They expand the same 16,792 term pairs over the same
+    1,125 key pairs as the product-per-triple loop (225 + 2 * 15^3 products,
+    225 + 3 * 455 brackets), so no term pair of any triple is skipped."""
     calls = {"star": 0, "moyal_bracket": 0}
     for name in calls:
 
@@ -518,9 +522,72 @@ def test_star_laws_check_covers_every_basis_triple(monkeypatch):
             return _law(f, g)
 
         monkeypatch.setattr(cli.star_product, name, counted)
+    expansions = []
+    genuine = cli.star_product._monomial_star
+    monkeypatch.setattr(cli.star_product, "_monomial_star", lambda f, g: expansions.append((f, g)) or genuine(f, g))
     (record,) = cli.star_laws_check("laws")
-    assert calls == {"star": 225 + 2 * 15**3, "moyal_bracket": 225 + 3 * 455}
+    assert calls == {"star": 3 * 225, "moyal_bracket": 225 + 15}
+    assert (len(expansions), len(set(expansions))) == (16_792, 1_125)
     assert (record.measured, record.passed) == (0.0, True)
+
+
+def test_star_laws_bands_never_overlap(monkeypatch):
+    """Every banded product or bracket of star_laws_check equals the sum of
+    its parts' own results, each shifted into its band, and each of those
+    stays below hbar^width, so no two bands share a key."""
+    P = cli.star_product.PhasePolynomial
+    tagged = {}
+    banded = cli._banded
+
+    def spy_banded(parts, width, other_weight):
+        parts = list(parts)
+        poly = banded(parts, width, other_weight)
+        tagged[id(poly)] = (poly, parts, width)
+        return poly
+
+    monkeypatch.setattr(cli, "_banded", spy_banded)
+    checked = {"star": 0, "moyal_bracket": 0}
+    for name in checked:
+
+        def spy(f, g, _law=getattr(cli.star_product, name), _name=name):
+            result = _law(f, g)
+            if id(g) in tagged:
+                _, parts, width = tagged[id(g)]
+                expected = P.zero(1)
+                for band, part in parts:
+                    own = _law(f, part)
+                    assert own.degree_in(-1) < width
+                    expected = expected + own * P._of(1, 1, {(0, 0, width * band): (1, 0)})
+                assert result == expected
+                checked[_name] += 1
+            return result
+
+        monkeypatch.setattr(cli.star_product, name, spy)
+    cli.star_laws_check("laws")
+    assert checked == {"star": 2 * 225, "moyal_bracket": 15}
+
+
+def test_banded_refuses_a_part_that_could_reach_the_next_band():
+    P = cli.star_product.PhasePolynomial
+    x4 = P._of(1, 1, {(4, 0, 0): (1, 0)})
+    assert cli._banded([(0, x4), (1, x4)], 7, 8) == P._of(1, 1, {(4, 0, 0): (1, 0), (4, 0, 7): (1, 0)})
+    # x^4 hbar times a weight-8 operand can hold hbar^7, the first key of band 1
+    with pytest.raises(ValueError, match="band 1 could reach hbar\\^7, past its width 7"):
+        cli._banded([(0, x4), (1, P._of(1, 1, {(4, 0, 1): (1, 0)}))], 7, 8)
+
+
+def test_star_laws_check_refuses_a_basis_past_its_band_width_before_any_product(monkeypatch):
+    """A basis monomial carrying hbar^3 makes a triple product reach hbar^9,
+    past the width 7 set by degree 4: refused before anything is multiplied."""
+    genuine = cli.star_product.monomial_basis
+    hbar3 = cli.star_product.PhasePolynomial._of(1, 1, {(0, 0, 3): (1, 0)})
+    monkeypatch.setattr(cli.star_product, "monomial_basis", lambda d, k: [*genuine(d, k), hbar3])
+    calls = []
+    for name in ("star", "moyal_bracket"):
+        monkeypatch.setattr(cli.star_product, name, lambda f, g, _name=name: calls.append(_name))
+    with pytest.raises(ValueError, match="past its width 7"):
+        cli.star_laws_check("laws")
+    assert calls == []
 
 
 @pytest.mark.parametrize(

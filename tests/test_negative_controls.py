@@ -9,6 +9,7 @@ mutant reaches are cleared before and after each case, so that no genuine
 value hides a mutant and no mutated value outlives its case.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -41,18 +42,36 @@ def failing_ids(criteria) -> set:
     return {check["check_id"] for check in report["checks"] if not check["pass"]}
 
 
-def x_star_p8_sign(monkeypatch):
-    """x * p^8 with its order-1 entry negated: a degree-9 product that only
-    the associativity of x, p^4, p^4 reaches."""
+def slip_entry(monkeypatch, pair, order, change):
+    """_monomial_star(*pair) with change(c) in place of the integer c of its
+    order-`order` entry, in the full and the odd-order tuple alike."""
     genuine = star_product._monomial_star
 
     def mutant(f_xp, g_xp):
         parts = genuine(f_xp, g_xp)
-        if (f_xp, g_xp) != ((1, 0), (0, 8)):
+        if (f_xp, g_xp) != pair:
             return parts
-        return tuple(tuple((xp, n, -c if n == 1 else c) for xp, n, c in part) for part in parts)
+        return tuple(tuple((xp, n, change(c) if n == order else c) for xp, n, c in part) for part in parts)
 
     monkeypatch.setattr(star_product, "_monomial_star", mutant)
+
+
+def x_star_p8_sign(monkeypatch):
+    """x * p^8 with its order-1 entry negated: a degree-9 product that only
+    the associativity of x, p^4, p^4 reaches."""
+    slip_entry(monkeypatch, ((1, 0), (0, 8)), 1, lambda c: -c)
+
+
+def x2p_star_xp2_order2(monkeypatch):
+    """x^2 p * x p^2 with 1 added to its order-2 entry: an even-order slip
+    that the brackets cannot see and many associativity triples can."""
+    slip_entry(monkeypatch, ((2, 1), (1, 2)), 2, lambda c: c + 1)
+
+
+def xp2_star_x2p_sign(monkeypatch):
+    """x p^2 * x^2 p with its order-1 entry negated: a bracket slip that
+    fails Jacobi cyclic sums as well as products and antisymmetry."""
+    slip_entry(monkeypatch, ((1, 2), (2, 1)), 1, lambda c: -c)
 
 
 def unflipped_mirror(monkeypatch):
@@ -111,6 +130,7 @@ def unseeded_generator(monkeypatch):
 
 MUTANTS = [
     (x_star_p8_sign, (10,), {"C10.associativity-jacobi"}),
+    (x2p_star_xp2_order2, (10,), {"C10.associativity-jacobi"}),
     (
         unflipped_mirror,
         (1, 2),
@@ -145,3 +165,28 @@ MUTANTS = [
 def test_mutant_fails_its_checks(monkeypatch, mutate, criteria, failing):
     mutate(monkeypatch)
     assert failing_ids(criteria) == failing
+
+
+def per_triple_defects() -> int:
+    """C10.associativity-jacobi's count taken one case at a time: every
+    ordered triple's two products, every ordered pair's two brackets and
+    every triple of distinct monomials' cyclic sum."""
+    basis = list(star_product.monomial_basis(1, 4))
+    star, bracket = star_product.star, star_product.moyal_bracket
+    defects = sum(star(star(a, b), c) != star(a, star(b, c)) for a, b, c in itertools.product(basis, repeat=3))
+    defects += sum(bracket(a, b) != -bracket(b, a) for a, b in itertools.product(basis, repeat=2))
+    for a, b, c in itertools.combinations(basis, 3):
+        defects += not (bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))).is_zero
+    return defects
+
+
+# the last mutant fails 60 associativity triples, 2 antisymmetry pairs and 12 cyclic sums
+@pytest.mark.parametrize(
+    ("mutate", "count"), [(x_star_p8_sign, 1), (x2p_star_xp2_order2, 60), (xp2_star_x2p_sign, 60 + 2 + 12)]
+)
+def test_star_laws_count_every_failing_case(monkeypatch, mutate, count):
+    """The banded check counts every failing triple, pair and cyclic sum:
+    under each C10 mutant it reads what a loop over single cases reads."""
+    mutate(monkeypatch)
+    (record,) = cli.star_laws_check("laws")
+    assert record.measured == per_triple_defects() == count
