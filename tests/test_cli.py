@@ -537,7 +537,7 @@ def test_star_laws_bands_never_overlap(monkeypatch):
     stays below hbar^width, so no two bands share a key."""
     P = cli.star_product.PhasePolynomial
     tagged = {}
-    banded = cli._banded
+    banded = cli.star_product._banded
 
     def spy_banded(parts, width, other_weight):
         parts = list(parts)
@@ -545,7 +545,7 @@ def test_star_laws_bands_never_overlap(monkeypatch):
         tagged[id(poly)] = (poly, parts, width)
         return poly
 
-    monkeypatch.setattr(cli, "_banded", spy_banded)
+    monkeypatch.setattr(cli.star_product, "_banded", spy_banded)
     checked = {"star": 0, "moyal_bracket": 0}
     for name in checked:
 
@@ -570,10 +570,10 @@ def test_star_laws_bands_never_overlap(monkeypatch):
 def test_banded_refuses_a_part_that_could_reach_the_next_band():
     P = cli.star_product.PhasePolynomial
     x4 = P._of(1, 1, {(4, 0, 0): (1, 0)})
-    assert cli._banded([(0, x4), (1, x4)], 7, 8) == P._of(1, 1, {(4, 0, 0): (1, 0), (4, 0, 7): (1, 0)})
+    assert cli.star_product._banded([(0, x4), (1, x4)], 7, 8) == P._of(1, 1, {(4, 0, 0): (1, 0), (4, 0, 7): (1, 0)})
     # x^4 hbar times a weight-8 operand can hold hbar^7, the first key of band 1
     with pytest.raises(ValueError, match="band 1 could reach hbar\\^7, past its width 7"):
-        cli._banded([(0, x4), (1, P._of(1, 1, {(4, 0, 1): (1, 0)}))], 7, 8)
+        cli.star_product._banded([(0, x4), (1, P._of(1, 1, {(4, 0, 1): (1, 0)}))], 7, 8)
 
 
 def test_star_laws_check_refuses_a_basis_past_its_band_width_before_any_product(monkeypatch):

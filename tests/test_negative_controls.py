@@ -74,6 +74,21 @@ def xp2_star_x2p_sign(monkeypatch):
     slip_entry(monkeypatch, ((1, 2), (2, 1)), 1, lambda c: -c)
 
 
+def p_star_x4_order1(monkeypatch):
+    """p * x^4 on one axis with 1 added to its order-1 entry: a one-entry
+    slip of the per-axis table, which the canonical commutator reaches
+    through p * x^4 and p * (x * x^3)."""
+    genuine = star_product._axis_star
+
+    def mutant(a, b, c, d):
+        table = genuine(a, b, c, d)
+        if (a, b, c, d) != (0, 1, 4, 0):
+            return table
+        return tuple((xe, pe, n, s + 1 if n == 1 else s) for xe, pe, n, s in table)
+
+    monkeypatch.setattr(star_product, "_axis_star", mutant)
+
+
 def unflipped_mirror(monkeypatch):
     """make_table stores its first mirrored entry without the sign flip."""
     genuine = lie_core.make_table
@@ -131,6 +146,7 @@ def unseeded_generator(monkeypatch):
 MUTANTS = [
     (x_star_p8_sign, (10,), {"C10.associativity-jacobi"}),
     (x2p_star_xp2_order2, (10,), {"C10.associativity-jacobi"}),
+    (p_star_x4_order1, (10,), {"C10.associativity-jacobi", "C10.canonical-commutator"}),
     (
         unflipped_mirror,
         (1, 2),
@@ -190,3 +206,29 @@ def test_star_laws_count_every_failing_case(monkeypatch, mutate, count):
     mutate(monkeypatch)
     (record,) = cli.star_laws_check("laws")
     assert record.measured == per_triple_defects() == count
+
+
+def per_monomial_failing(dims: int, degree: int) -> int:
+    """canonical_commutator_check's count taken one (axis, monomial) case at
+    a time, four products each."""
+    star = star_product.star
+    i_hbar = star_product.from_text(dims, "i*hbar")
+    failing = 0
+    for axis in range(1, dims + 1):
+        x = star_product.PhasePolynomial.variable(dims, "x", axis)
+        p = star_product.PhasePolynomial.variable(dims, "p", axis)
+        for m in star_product.monomial_basis(dims, degree):
+            failing += star(x, star(p, m)) - star(p, star(x, m)) != i_hbar * m
+    return failing
+
+
+@pytest.mark.parametrize(("dims", "degree", "count"), [(1, 4, 2), (2, 3, 2), (3, 3, 3)])
+def test_commutator_check_counts_every_failing_case(monkeypatch, dims, degree, count):
+    """Under the p * x^4 slip the banded commutator check counts what a loop
+    over single (axis, monomial) cases counts, and C10 reports that count."""
+    p_star_x4_order1(monkeypatch)
+    result = star_product.canonical_commutator_check(dims, degree)
+    assert (result["failing"], result["exact"]) == (per_monomial_failing(dims, degree), False)
+    assert result["failing"] == count
+    (record,) = cli.star_commutator_check("commutator")
+    assert record.measured == 2.0

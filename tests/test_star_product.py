@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -485,10 +486,74 @@ def test_bracket_antisymmetry_and_jacobi_are_exact():
 
 
 def test_commutator_identity_on_monomial_basis():
-    out = canonical_commutator_check(1, 4)
-    assert out["exact"] is True
-    assert out["checked"] == sum(1 for _ in monomial_basis(1, 4))
-    assert canonical_commutator_check(3, 2)["exact"] is True
+    for dims, degree in ((1, 4), (3, 2), (2, 4), (3, 3)):
+        out = canonical_commutator_check(dims, degree)
+        assert out == {"checked": dims * math.comb(2 * dims + degree, degree), "exact": True, "failing": 0}
+        assert out["checked"] == dims * sum(1 for _ in monomial_basis(dims, degree))
+
+
+@pytest.mark.parametrize(("dims", "degree"), [(1, 4), (2, 3), (3, 3)])
+def test_monomial_basis_walks_the_filtered_product_in_order(dims, degree):
+    want = [e + (0,) for e in itertools.product(range(degree + 1), repeat=2 * dims) if sum(e) <= degree]
+    basis = list(monomial_basis(dims, degree))
+    assert [key for m in basis for key in m.nums] == want
+    assert all((m.dims, m.den, list(m.nums.values())) == (dims, 1, [(1, 0)]) for m in basis)
+
+
+@pytest.mark.parametrize(("dims", "degree"), [(1, 4), (3, 2)])
+def test_commutator_check_takes_four_products_per_axis_over_the_per_monomial_term_pairs(monkeypatch, dims, degree):
+    """The banded check makes 4 dims products instead of 4 per (axis,
+    monomial), and they expand the same monomial key pairs, with the same
+    multiplicities, as the per-monomial loop: no monomial, axis or term pair
+    is dropped."""
+    expansions = []
+    genuine = star_product._monomial_star
+    monkeypatch.setattr(star_product, "_monomial_star", lambda f, g: expansions.append((f, g)) or genuine(f, g))
+    for axis in range(1, dims + 1):
+        x, p = _x(dims, axis), _p(dims, axis)
+        for m in monomial_basis(dims, degree):
+            star(x, star(p, m)), star(p, star(x, m))
+    per_monomial = collections.Counter(expansions)
+    expansions.clear()
+    calls = []
+    monkeypatch.setattr(star_product, "star", lambda f, g: calls.append(1) or star(f, g))
+    assert canonical_commutator_check(dims, degree)["exact"] is True
+    assert len(calls) == 4 * dims
+    assert collections.Counter(expansions) == per_monomial
+
+
+@pytest.mark.parametrize(("dims", "degree"), [(1, 4), (3, 2)])
+def test_commutator_bands_never_overlap(monkeypatch, dims, degree):
+    """Every product of canonical_commutator_check with a banded right factor
+    equals the sum of its parts' own products, each shifted into its band and
+    each below hbar^width.  That result is banded in turn by those products,
+    so the outer products are checked as well."""
+    tagged = {}
+    banded = star_product._banded
+
+    def spy_banded(parts, width, other_weight):
+        parts = list(parts)
+        poly = banded(parts, width, other_weight)
+        tagged[id(poly)] = (poly, parts, width)
+        return poly
+
+    checked = []
+
+    def spy_star(f, g):
+        result = star(f, g)
+        if id(g) in tagged:
+            _, parts, width = tagged[id(g)]
+            own = [(band, star(f, part)) for band, part in parts]
+            assert all(poly.degree_in(-1) < width for _, poly in own)
+            assert result == sum((_shift_hbar(poly, width * band) for band, poly in own), PhasePolynomial.zero(dims))
+            tagged[id(result)] = (result, own, width)
+            checked.append(len(own))
+        return result
+
+    monkeypatch.setattr(star_product, "_banded", spy_banded)
+    monkeypatch.setattr(star_product, "star", spy_star)
+    canonical_commutator_check(dims, degree)
+    assert checked == [math.comb(2 * dims + degree, degree)] * (4 * dims)
 
 
 def _reference_bracket(f, g):
