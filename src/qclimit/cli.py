@@ -11,9 +11,9 @@ Each law is computed by one check function, which its battery criterion and
 its subcommand both call with their own check-ID prefix: the bracket axioms
 (C01, algebra-verify), the Weyl group law (C03, coset-compose), the coherent
 spot overlap (C04, coherent-overlap), the contraction decay (C08,
-contract-sweep), the canonical star commutator (C10, star-bracket), the
-classical limit of the star bracket (C10, star-limit-sweep) and the ray flow
-(C11, flow-check).
+contract-sweep), the star laws of associativity and Jacobi (C10 only), the
+canonical star commutator (C10, star-bracket), the classical limit of the
+star bracket (C10, star-limit-sweep) and the ray flow (C11, flow-check).
 """
 
 from __future__ import annotations
@@ -422,49 +422,11 @@ def classical_limit_check(sweep, prefix: str) -> list[CheckRecord]:
 
 
 def star_laws_check(check_id: str) -> list[CheckRecord]:
-    """Failing cases of star associativity on every ordered triple, bracket
-    antisymmetry on every ordered pair and the Jacobi cyclic sum on every
-    triple of distinct monomials, over the 15 1D basis monomials of degree
-    <= 4.  Both laws are trilinear over C, so this covers every triple of
-    degree-<=4 polynomials; each pair product and bracket is computed once.
-
-    The triples run in hbar bands (see `star_product`): for each ordered pair
-    (i, j), (e_i * e_j) * sum_k hbar^(width k) e_k is compared with
-    e_i * sum_k hbar^(width k) (e_j * e_k), and triple t's three inner
-    brackets sit in band t, bracketed once per outer monomial.  A failing
-    triple leaves a nonzero band of its own, so the bands are counted."""
-    degree = 4
-    basis = list(star_product.monomial_basis(1, degree))
-    # a product of three basis monomials has weight <= 3 degree, so hbar^(3 degree // 2) at most
-    width = 3 * degree // 2 + 1
-    weight = max(map(star_product._weight, basis))
-    tagged_basis = star_product._banded(enumerate(basis), width, 2 * weight)
-    n = len(basis)
-    pairs = list(itertools.product(range(n), repeat=2))
-    prod = {(i, j): star_product.star(basis[i], basis[j]) for i, j in pairs}
-    bracket = {(i, j): star_product.moyal_bracket(basis[i], basis[j]) for i, j in pairs}
-
-    defects = 0
-    for j in range(n):
-        tagged_row = star_product._banded(((k, prod[j, k]) for k in range(n)), width, weight)
-        for i in range(n):
-            left = star_product.star(prod[i, j], tagged_basis)
-            right = star_product.star(basis[i], tagged_row)
-            if left != right:
-                defects += star_product._nonzero_bands(left - right, width)
-    defects += sum(bracket[i, j] != -bracket[j, i] for i, j in pairs)
-    # an antisymmetric bracket makes the cyclic sum alternating, so sorted distinct triples suffice
-    inner = [[] for _ in basis]
-    for t, (i, j, k) in enumerate(itertools.combinations(range(n), 3)):
-        inner[i].append((t, bracket[j, k]))
-        inner[j].append((t, bracket[k, i]))
-        inner[k].append((t, bracket[i, j]))
-    cyclic = sum(
-        (star_product.moyal_bracket(basis[a], star_product._banded(inner[a], width, weight)) for a in range(n)),
-        star_product.PhasePolynomial.zero(1),
-    )
-    defects += star_product._nonzero_bands(cyclic, width)
-    return [CheckRecord(check_id, "star-associativity", float(defects), 0.0, 0.0)]
+    """Failing cases of star associativity and of the bracket's antisymmetry
+    and Jacobi identity, exactly, over every triple of 1D basis monomials up
+    to degree 4."""
+    result = star_product.associativity_jacobi_check(4)
+    return [CheckRecord(check_id, "star-associativity", float(result["failing"]), 0.0, 0.0)]
 
 
 def criterion_10_star_algebra(seed: int) -> list[CheckRecord]:

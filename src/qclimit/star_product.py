@@ -44,10 +44,12 @@ hbar^n, so weights add: f * g holds hbar^e only for e <= (weight f + weight
 g) // 2, and a bracket one power less.  hbar is central and the product
 bilinear, so if part k of a sum is multiplied by hbar^(width k) and no
 part's own result reaches hbar^width, then band k of the summed result (the
-hbar exponents from width k up to width (k + 1) - 1) is part k's own result,
-shifted.  `_banded` builds such a sum and refuses a part that could reach the
-next band; a failing part leaves a nonzero band of its own, so a check
-counts the nonzero bands of a difference to count its failing cases.
+hbar exponents width k to width (k + 1) - 1) is part k's own result, shifted.
+`_banded` builds such a sum and refuses a part that could reach the next
+band.  A check takes width = (w + v) // 2 + 1 from the largest weight w of
+the basis it tags and v of what meets it, the least width that guard admits.
+A failing part leaves a nonzero band of its own, so a check counts the
+nonzero bands of a difference to count its failing cases.
 """
 
 from __future__ import annotations
@@ -545,8 +547,7 @@ def canonical_commutator_check(dims: int, max_degree: int) -> dict:
     banded sum, over the same term pairs as four products per monomial."""
     basis = list(monomial_basis(dims, max_degree))
     i_hbar = PhasePolynomial._of(dims, 1, {(0,) * (2 * dims) + (1,): (0, 1)})
-    # x_i and p_i, of weight 1 each, both multiply every monomial
-    width = (max(map(_weight, basis)) + 2) // 2 + 1
+    width = (max(map(_weight, basis)) + 2) // 2 + 1  # x_i and p_i, of weight 1 each, meet every monomial
     tagged = _banded(enumerate(basis), width, 2)
     failing = 0
     for axis in range(1, dims + 1):
@@ -554,6 +555,41 @@ def canonical_commutator_check(dims: int, max_degree: int) -> dict:
         p = PhasePolynomial.variable(dims, "p", axis)
         failing += _nonzero_bands(star(x, star(p, tagged)) - star(p, star(x, tagged)) - i_hbar * tagged, width)
     return {"checked": dims * len(basis), "exact": not failing, "failing": failing}
+
+
+def associativity_jacobi_check(max_degree: int) -> dict:
+    """(a * b) * c == a * (b * c) on every ordered triple, {a, b} == -{b, a}
+    on every ordered pair and the Jacobi cyclic sum on every triple of
+    distinct 1D basis monomials, which by trilinearity covers all polynomials
+    of degree <= max_degree, with the count of failing cases.  Pair (i, j)
+    compares (e_i * e_j) * sum_k hbar^(width k) e_k with e_i * sum_k
+    hbar^(width k) (e_j * e_k); triple t's three inner brackets sit in band t."""
+    basis = list(monomial_basis(1, max_degree))
+    weight = max(map(_weight, basis))
+    width = (weight + 2 * weight) // 2 + 1  # the tagged basis meets pair products
+    tagged_basis = _banded(enumerate(basis), width, 2 * weight)
+    n = len(basis)
+    pairs = list(itertools.product(range(n), repeat=2))
+    prod = {(i, j): star(basis[i], basis[j]) for i, j in pairs}
+    bracket = {(i, j): moyal_bracket(basis[i], basis[j]) for i, j in pairs}
+    failing = 0
+    for j in range(n):
+        tagged_row = _banded(((k, prod[j, k]) for k in range(n)), width, weight)
+        for i in range(n):
+            left = star(prod[i, j], tagged_basis)
+            right = star(basis[i], tagged_row)
+            if left != right:
+                failing += _nonzero_bands(left - right, width)
+    failing += sum(bracket[i, j] != -bracket[j, i] for i, j in pairs)
+    # an antisymmetric bracket makes the cyclic sum alternating, so sorted distinct triples suffice
+    inner = [[] for _ in basis]
+    for t, (i, j, k) in enumerate(itertools.combinations(range(n), 3)):
+        inner[i].append((t, bracket[j, k]))
+        inner[j].append((t, bracket[k, i]))
+        inner[k].append((t, bracket[i, j]))
+    cyclic = sum((moyal_bracket(basis[a], _banded(inner[a], width, weight)) for a in range(n)), PhasePolynomial.zero(1))
+    failing += _nonzero_bands(cyclic, width)
+    return {"checked": n**3 + n**2 + math.comb(n, 3), "exact": not failing, "failing": failing}
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,33 @@ def test_src_has_no_test_only_code(monkeypatch):
     assert unreached == [], f"reached only from tests: {unreached}"
 
 
+# the underscore names that one src/qclimit module may read from another, as (reader, owner, name)
+SHARED_PRIVATE_NAMES = {("hilbert", "lie_core", "_DUAL_PAIR"), ("star_product", "hilbert", "_rk4")}
+
+
+def test_src_modules_read_no_private_name_of_another():
+    """No src/qclimit module reads another's underscore name, by `from
+    qclimit.<owner> import _name` or as `<owner>._name`, apart from
+    SHARED_PRIVATE_NAMES, each of which is still read: a law that needs
+    another module's internals belongs in that module."""
+    root = Path(__file__).resolve().parents[1] / "src" / "qclimit"
+    modules = {path.stem for path in root.glob("*.py")}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    reads = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qclimit."):
+                owner = node.module.partition(".")[2]
+                reads |= {(path.stem, owner, alias.name) for alias in node.names if private(alias.name)}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules and node.value.id != path.stem and private(node.attr):
+                    reads.add((path.stem, node.value.id, node.attr))
+    assert sorted(reads) == sorted(SHARED_PRIVATE_NAMES)
+
+
 def test_readme_commands_parse():
     """Every `qclimit ...` line of the README's command-line block parses, so
     the README cannot advertise an option the parser lacks."""
@@ -525,16 +552,17 @@ def test_star_laws_check_covers_every_basis_triple(monkeypatch):
     expansions = []
     genuine = cli.star_product._monomial_star
     monkeypatch.setattr(cli.star_product, "_monomial_star", lambda f, g: expansions.append((f, g)) or genuine(f, g))
-    (record,) = cli.star_laws_check("laws")
+    result = cli.star_product.associativity_jacobi_check(4)
     assert calls == {"star": 3 * 225, "moyal_bracket": 225 + 15}
     assert (len(expansions), len(set(expansions))) == (16_792, 1_125)
-    assert (record.measured, record.passed) == (0.0, True)
+    assert result == {"checked": 15**3 + 15**2 + 455, "exact": True, "failing": 0}
 
 
-def test_star_laws_bands_never_overlap(monkeypatch):
-    """Every banded product or bracket of star_laws_check equals the sum of
-    its parts' own results, each shifted into its band, and each of those
-    stays below hbar^width, so no two bands share a key."""
+def spy_bands(monkeypatch) -> tuple:
+    """Check every banded product or bracket of the star laws against the
+    sum of its parts' own results, each shifted into its band, and each of
+    those below hbar^width, so that no two bands share a key.  Returns the
+    count of checked calls per law and the set of widths used."""
     P = cli.star_product.PhasePolynomial
     tagged = {}
     banded = cli.star_product._banded
@@ -546,7 +574,7 @@ def test_star_laws_bands_never_overlap(monkeypatch):
         return poly
 
     monkeypatch.setattr(cli.star_product, "_banded", spy_banded)
-    checked = {"star": 0, "moyal_bracket": 0}
+    checked, widths = {"star": 0, "moyal_bracket": 0}, set()
     for name in checked:
 
         def spy(f, g, _law=getattr(cli.star_product, name), _name=name):
@@ -560,11 +588,20 @@ def test_star_laws_bands_never_overlap(monkeypatch):
                     expected = expected + own * P._of(1, 1, {(0, 0, width * band): (1, 0)})
                 assert result == expected
                 checked[_name] += 1
+                widths.add(width)
             return result
 
         monkeypatch.setattr(cli.star_product, name, spy)
-    cli.star_laws_check("laws")
+    return checked, widths
+
+
+def test_star_laws_bands_never_overlap(monkeypatch):
+    checked, widths = spy_bands(monkeypatch)
+    (record,) = cli.star_laws_check("laws")
     assert checked == {"star": 2 * 225, "moyal_bracket": 15}
+    # the degree-4 basis has weight 4, so a triple product holds hbar^6 at most
+    assert widths == {7}
+    assert (record.measured, record.passed) == (0.0, True)
 
 
 def test_banded_refuses_a_part_that_could_reach_the_next_band():
@@ -576,18 +613,18 @@ def test_banded_refuses_a_part_that_could_reach_the_next_band():
         cli.star_product._banded([(0, x4), (1, P._of(1, 1, {(4, 0, 1): (1, 0)}))], 7, 8)
 
 
-def test_star_laws_check_refuses_a_basis_past_its_band_width_before_any_product(monkeypatch):
-    """A basis monomial carrying hbar^3 makes a triple product reach hbar^9,
-    past the width 7 set by degree 4: refused before anything is multiplied."""
+def test_star_laws_check_widens_its_bands_for_a_basis_carrying_hbar3(monkeypatch):
+    """A basis monomial carrying hbar^3 has weight 6, so a triple product can
+    reach hbar^9: the width, taken from the basis it tags, is 10, the bands
+    still never overlap, and the laws hold on all 16 monomials."""
     genuine = cli.star_product.monomial_basis
     hbar3 = cli.star_product.PhasePolynomial._of(1, 1, {(0, 0, 3): (1, 0)})
     monkeypatch.setattr(cli.star_product, "monomial_basis", lambda d, k: [*genuine(d, k), hbar3])
-    calls = []
-    for name in ("star", "moyal_bracket"):
-        monkeypatch.setattr(cli.star_product, name, lambda f, g, _name=name: calls.append(_name))
-    with pytest.raises(ValueError, match="past its width 7"):
-        cli.star_laws_check("laws")
-    assert calls == []
+    checked, widths = spy_bands(monkeypatch)
+    (record,) = cli.star_laws_check("laws")
+    assert checked == {"star": 2 * 16**2, "moyal_bracket": 16}
+    assert widths == {10}
+    assert (record.measured, record.passed) == (0.0, True)
 
 
 @pytest.mark.parametrize(
@@ -618,6 +655,18 @@ def test_flow_check_short_run(tmp_path):
     assert code == 0
     assert check_by_id(report, "route-deviation")["measured"] < 1e-6
     assert check_by_id(report, "norm-drift")["measured"] < 1e-8
+
+
+def test_flow_check_refuses_more_steps_than_its_bound_before_integrating(tmp_path, monkeypatch):
+    """--t-final 1e6 --dt 1e-6 asks for 10^12 RK4 steps: a diagnostic report
+    and exit 1, with nothing integrated."""
+    calls = []
+    monkeypatch.setattr(cli.hilbert, "_rk4", lambda *args: calls.append(args))
+    code, report = run_cli(tmp_path, "flow-check", "--t-final", "1e6", "--dt", "1e-6")
+    assert code == 1
+    assert [c["check_id"] for c in report["checks"]] == ["diagnostic"]
+    assert f"1000000000000 steps, outside [1, {cli.hilbert.FLOW_MAX_STEPS}]" in report["error"]
+    assert calls == []
 
 
 @pytest.mark.parametrize(

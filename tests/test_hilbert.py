@@ -12,6 +12,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from qclimit.coset_rep import WeylLabel, weyl_compose_formula
 from qclimit.hilbert import (
+    FLOW_MAX_STEPS,
     FockSpace,
     GridSpace,
     StateVector,
@@ -1096,6 +1097,7 @@ def test_rk4_step_polynomial_matches_stage_loop():
         (math.inf, 1e-3),
         (1.0, math.inf),
         (1e-4, 1e-3),
+        ((FLOW_MAX_STEPS + 1) * 1e-3, 1e-3),
     ],
 )
 def test_flow_rejects_bad_time_grid(t_final, dt):
@@ -1103,6 +1105,16 @@ def test_flow_rejects_bad_time_grid(t_final, dt):
     initial = coherent_state(space, 0.1, 0.1)
     with pytest.raises(ValueError, match="dt|step"):
         projective_flow_check(space, _harmonic(space), initial, t_final=t_final, dt=dt)
+
+
+def test_flow_admits_flow_max_steps():
+    """The bound itself runs (one more is refused above); C11 and the
+    benchmark's flow take 10,000 steps."""
+    assert FLOW_MAX_STEPS >= 10_000
+    space = build_fock_space(1, 2)
+    initial = coherent_state(space, 0.1, 0.1)
+    report = projective_flow_check(space, _harmonic(space), initial, t_final=FLOW_MAX_STEPS * 1e-3, dt=1e-3)
+    assert report.steps == FLOW_MAX_STEPS
 
 
 def test_flow_identity_hamiltonian_gives_global_phase():

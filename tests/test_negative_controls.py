@@ -74,6 +74,18 @@ def xp2_star_x2p_sign(monkeypatch):
     slip_entry(monkeypatch, ((1, 2), (2, 1)), 1, lambda c: -c)
 
 
+def x_star_p2_order1(monkeypatch):
+    """x * p^2 with 1 added to its order-1 entry: the bracket of x with the
+    harmonic Hamiltonian, so the quadratic flow fails along with the laws."""
+    slip_entry(monkeypatch, ((1, 0), (0, 2)), 1, lambda c: c + 1)
+
+
+def x3_star_p3_order1(monkeypatch):
+    """x^3 * p^3 with 1 added to its order-1 entry: the bracket the classical
+    limit sweep takes, whose hbar^0 term then misses the Poisson bracket."""
+    slip_entry(monkeypatch, ((3, 0), (0, 3)), 1, lambda c: c + 1)
+
+
 def p_star_x4_order1(monkeypatch):
     """p * x^4 on one axis with 1 added to its order-1 entry: a one-entry
     slip of the per-axis table, which the canonical commutator reaches
@@ -148,6 +160,17 @@ MUTANTS = [
     (x2p_star_xp2_order2, (10,), {"C10.associativity-jacobi"}),
     (p_star_x4_order1, (10,), {"C10.associativity-jacobi", "C10.canonical-commutator"}),
     (
+        x_star_p2_order1,
+        (10,),
+        {
+            "C10.associativity-jacobi",
+            "C10.canonical-commutator",
+            "C10.quadratic-flow-coefficients",
+            "C10.quadratic-flow-exact",
+        },
+    ),
+    (x3_star_p3_order1, (10,), {"C10.associativity-jacobi", "C10.classical-slope"}),
+    (
         unflipped_mirror,
         (1, 2),
         {
@@ -175,6 +198,35 @@ MUTANTS = [
     (short_sqrt2, (4, 5, 9), {"C04.overlap-spot", "C05.diagonal-labels", "C09.contracted-diagonal"}),
     (unseeded_generator, (12,), {"C12.determinism"}),
 ]
+
+
+# seed-7 checks that no mutant above fails yet
+UNCONTROLLED = (
+    "C02.canonical-pairs-commute",
+    "C02.center-absent",
+    "C03.group-law",
+    "C04.overlap-3d",
+    "C04.overlap-grid-1d",
+    "C05.element-grid-1d",
+    "C06.factored-vs-single",
+    "C06.group-law-on-vacuum",
+    "C07.bracket-realization",
+    "C08.closed-form-decay",
+    "C11.route-deviation",
+    "C11.norm-drift",
+    "C11.step-halving",
+)
+
+
+def test_every_check_has_a_mutant_or_is_listed_uncontrolled():
+    """The checks that some mutant fails and UNCONTROLLED split the seed-7
+    battery's check IDs between them."""
+    grouped, _, _ = cli.run_battery(7)
+    battery = {r.check_id for records in grouped.values() for r in records}
+    controlled = set().union(*(failing for _, _, failing in MUTANTS))
+    assert controlled | set(UNCONTROLLED) == battery
+    assert not controlled & set(UNCONTROLLED)
+    assert len(UNCONTROLLED) == len(set(UNCONTROLLED))
 
 
 @pytest.mark.parametrize(("mutate", "criteria", "failing"), MUTANTS, ids=[m[0].__name__ for m in MUTANTS])
