@@ -13,7 +13,9 @@ its subcommand both call with their own check-ID prefix: the bracket axioms
 spot overlap (C04, coherent-overlap), the contraction decay (C08,
 contract-sweep), the star laws of associativity and Jacobi (C10 only), the
 canonical star commutator (C10, star-bracket), the classical limit of the
-star bracket (C10, star-limit-sweep) and the ray flow (C11, flow-check).
+star bracket (C10, star-limit-sweep), the hbar^2 coefficient of {x^3, p^3}
+(C10, star-bracket) and the ray flow (C11, flow-check).  C10's quadratic
+covariance has no subcommand.
 """
 
 from __future__ import annotations
@@ -409,16 +411,24 @@ def star_commutator_check(check_id: str) -> list[CheckRecord]:
 
 def classical_limit_check(sweep, prefix: str) -> list[CheckRecord]:
     """The hbar -> 0 limit of the star bracket from a classical_limit_sweep:
-    its log-log slope, predicted 2, or an exact check when every deviation is
-    exactly 0.  A sweep with neither raises ValueError, so that a sweep which
-    measured no slope cannot pass."""
+    its log-log slope, predicted 2, or an exact check when the bracket is the
+    Poisson bracket.  A sweep with neither raises ValueError, so that a sweep
+    which measured no slope cannot pass, nor one whose corrections all round
+    to 0."""
     law = "bracket-classical-limit"
     if sweep["slope"] is not None:
         return [CheckRecord(f"{prefix}slope", law, sweep["slope"], 2.0, 0.05)]
-    worst = _worst([r["max_abs_err"] for r in sweep["records"]])
-    if worst == 0.0:
-        return [CheckRecord(f"{prefix}exact", law, worst, 0.0, 0.0)]
-    raise ValueError("need a nonzero bracket deviation at two or more distinct hbar values to fit a slope")
+    if not sweep["exact"]:
+        raise ValueError("need a nonzero bracket deviation at two or more distinct hbar values to fit a slope")
+    return [CheckRecord(f"{prefix}exact", law, _worst([r["max_abs_err"] for r in sweep["records"]]), 0.0, 0.0)]
+
+
+def cubic_correction_check(bracket, check_id: str) -> list[CheckRecord]:
+    """The hbar^2 coefficient of the star bracket {x^3, p^3}, exactly -3/2
+    for Moyal's product; an equivalent product or a slip of the order-3
+    term of x^3 * p^3 moves it while the limit slope stays 2."""
+    correction = float(bracket.terms.get((0, 0, 2), star_product.CRAT_ZERO).re)
+    return [CheckRecord(check_id, "bracket-classical-limit", correction, -1.5, 0.0)]
 
 
 def star_laws_check(check_id: str) -> list[CheckRecord]:
@@ -432,19 +442,14 @@ def star_laws_check(check_id: str) -> list[CheckRecord]:
 def criterion_10_star_algebra(seed: int) -> list[CheckRecord]:
     x = star_product.PhasePolynomial.variable(1, "x")
     p = star_product.PhasePolynomial.variable(1, "p")
-    sweep = star_product.classical_limit_sweep(x * x * x, p * p * p, seed=seed)
-    flow = star_product.harmonic_evolution_check()
-    flow_defect = 0.0 if (
-        flow["quadratic_flow_has_no_corrections"] and flow["closes_on_linear_span"]
-    ) else 1.0
+    x3, p3 = x * x * x, p * p * p
+    covariance = star_product.harmonic_evolution_check(1, 4)
     return [
         *star_laws_check("C10.associativity-jacobi"),
         *star_commutator_check("C10.canonical-commutator"),
-        *classical_limit_check(sweep, "C10.classical-"),
-        CheckRecord("C10.quadratic-flow-exact", "harmonic-star-flow", flow_defect, 0.0, 0.0),
-        CheckRecord(
-            "C10.quadratic-flow-coefficients", "harmonic-star-flow", flow["max_coefficient_error"], 0.0, 1e-10
-        ),
+        *classical_limit_check(star_product.classical_limit_sweep(x3, p3, seed=seed), "C10.classical-"),
+        CheckRecord("C10.quadratic-covariance", "quadratic-covariance", float(covariance["failing"]), 0.0, 0.0),
+        *cubic_correction_check(star_product.moyal_bracket(x3, p3), "C10.cubic-correction-coefficient"),
     ]
 
 
@@ -690,8 +695,7 @@ def cmd_star_bracket(args) -> list[CheckRecord]:
         CheckRecord("bracket-antisymmetry-exact", "bracket-antisymmetry", antisymmetry, 0.0, 0.0),
     ]
     if (f, g) == (star_product.from_text(1, "x^3"), star_product.from_text(1, "p^3")):
-        correction = float(bracket.terms.get((0, 0, 2), star_product.CRAT_ZERO).re)
-        records.append(CheckRecord("cubic-correction-coefficient", "bracket-classical-limit", correction, -1.5, 0.0))
+        records += cubic_correction_check(bracket, "cubic-correction-coefficient")
     return records
 
 

@@ -50,6 +50,14 @@ band.  A check takes width = (w + v) // 2 + 1 from the largest weight w of
 the basis it tags and v of what meets it, the least width that guard admits.
 A failing part leaves a nonzero band of its own, so a check counts the
 nonzero bands of a difference to count its failing cases.
+
+Three exact laws run on whole monomial bases this way: associativity with
+the bracket's antisymmetry and Jacobi identity, the canonical commutator,
+and quadratic covariance, {Q, m} = {Q, m}_PB for every quadratic Q and
+monomial m.  The first two hold for every product equivalent to this one,
+f *' g = T^-1(Tf * Tg) with T = exp(hbar^2 d_x^2 d_p^2), say (Bayen et al.,
+Ann. Phys. 111, 1978); the third holds for Moyal's product and not for that
+one.
 """
 
 from __future__ import annotations
@@ -64,8 +72,6 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from qclimit.hilbert import _rk4
-
 
 @dataclass(frozen=True)
 class CRat:
@@ -73,9 +79,6 @@ class CRat:
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
 
 CRAT_ZERO = CRat()
@@ -592,8 +595,31 @@ def associativity_jacobi_check(max_degree: int) -> dict:
     return {"checked": n**3 + n**2 + math.comb(n, 3), "exact": not failing, "failing": failing}
 
 
+def harmonic_evolution_check(dims: int, max_degree: int) -> dict:
+    """{Q, m} == {Q, m}_PB and {m, Q} == {m, Q}_PB exactly, with no hbar
+    correction, for every quadratic Q (x_i x_j, x_i p_j and p_i p_j) and
+    every basis monomial m, with the count of failing (Q, m, order) cases.
+
+    A quadratic Hamiltonian moves every observable along its classical flow:
+    this covariance under linear symplectic maps singles out Moyal's product
+    among the equivalent ones (Folland, Harmonic Analysis in Phase Space,
+    1989), which the other laws cannot tell apart.  The two orders read
+    different monomial key pairs, so both are checked.  Monomial t runs in
+    hbar band t, so each Q takes one bracket per order."""
+    basis = list(monomial_basis(dims, max_degree))
+    width = (max(map(_weight, basis)) + 2) // 2 + 1  # every quadratic, of weight 2, meets every monomial
+    tagged = _banded(enumerate(basis), width, 2)
+    variables = [PhasePolynomial.variable(dims, kind, axis) for kind in "xp" for axis in range(1, dims + 1)]
+    quadratics = [a * b for a, b in itertools.combinations_with_replacement(variables, 2)]
+    failing = 0
+    for q in quadratics:
+        failing += _nonzero_bands(moyal_bracket(q, tagged) - poisson_bracket(q, tagged), width)
+        failing += _nonzero_bands(moyal_bracket(tagged, q) - poisson_bracket(tagged, q), width)
+    return {"checked": 2 * len(quadratics) * len(basis), "exact": not failing, "failing": failing}
+
+
 # ---------------------------------------------------------------------------
-# limits and flows
+# classical limit
 # ---------------------------------------------------------------------------
 
 
@@ -602,7 +628,9 @@ def classical_limit_sweep(f: PhasePolynomial, g: PhasePolynomial, seed: int, hba
     points drawn from the box [-1, 1)^(2d), with the log-log convergence slope
     (2 when the first correction survives).  A NaN error at any hbar makes the
     slope NaN; with nonzero errors at fewer than two distinct hbar values the
-    slope is None."""
+    slope is None.  `exact` says whether the deformed bracket is the Poisson
+    bracket, compared exactly, since a correction can round to 0 at small
+    hbar."""
     mb = moyal_bracket(f, g)
     pb = poisson_bracket(f, g)
     rng = np.random.default_rng(seed)
@@ -622,44 +650,4 @@ def classical_limit_sweep(f: PhasePolynomial, g: PhasePolynomial, seed: int, hba
     elif len({h for h, _ in usable}) >= 2:
         hs, es = zip(*usable)
         slope = float(np.polyfit(np.log(hs), np.log(es), 1)[0])
-    return {"records": records, "slope": slope}
-
-
-def harmonic_evolution_check() -> dict:
-    """Flow of x and p under H = (x^2 + p^2)/2 via the deformed bracket.
-
-    For quadratic H the bracket closes exactly on span{x, p} with no hbar
-    corrections, so the coefficients integrated to t = pi/4, pi/2 and pi, in
-    RK4 steps of about 1e-3, must follow (cos t, sin t).
-    """
-    x = PhasePolynomial.variable(1, "x")
-    p = PhasePolynomial.variable(1, "p")
-    h = (x * x + p * p).scale(CRat(Fraction(1, 2)))
-
-    mb_x = moyal_bracket(x, h)
-    mb_p = moyal_bracket(p, h)
-    quadratic_exact = mb_x == poisson_bracket(x, h) and mb_p == poisson_bracket(p, h)
-
-    def coeffs_in_xp(poly):
-        cx = poly.terms.get((1, 0, 0), CRAT_ZERO).to_complex()
-        cp = poly.terms.get((0, 1, 0), CRAT_ZERO).to_complex()
-        in_span = set(poly.terms) <= {(1, 0, 0), (0, 1, 0)}
-        return cx, cp, in_span
-
-    gx = coeffs_in_xp(mb_x)
-    gp = coeffs_in_xp(mb_p)
-    closes = gx[2] and gp[2]
-    # generator matrix for d/dt (a, b) with x_t = a x + b p
-    gen = np.array([[gx[0].real, gp[0].real], [gx[1].real, gp[1].real]])
-
-    errors = []
-    for t in (math.pi / 4, math.pi / 2, math.pi):
-        steps = round(t / 1e-3)
-        y = _rk4(gen, np.array([1.0, 0.0]), t / steps, steps, steps)[-1]
-        errors += [abs(y[0] - math.cos(t)), abs(y[1] - math.sin(t))]
-    # np.max, unlike max(), propagates NaN
-    return {
-        "quadratic_flow_has_no_corrections": quadratic_exact,
-        "closes_on_linear_span": closes,
-        "max_coefficient_error": np.max(errors),
-    }
+    return {"records": records, "slope": slope, "exact": mb == pb}

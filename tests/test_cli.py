@@ -285,6 +285,7 @@ LAW_CHECKS = [
     (cli, "decay_law_check", ("contract-sweep",)),
     (cli.star_product, "canonical_commutator_check", ("star-bracket",)),
     (cli, "classical_limit_check", ("star-limit-sweep",)),
+    (cli, "cubic_correction_check", ("star-bracket",)),
     (cli, "group_law_check", ("coset-compose",)),
     (cli, "flow_law_check", ("flow-check", "--t-final", "2.0")),
 ]
@@ -371,7 +372,7 @@ def test_src_has_no_test_only_code(monkeypatch):
 
 
 # the underscore names that one src/qclimit module may read from another, as (reader, owner, name)
-SHARED_PRIVATE_NAMES = {("hilbert", "lie_core", "_DUAL_PAIR"), ("star_product", "hilbert", "_rk4")}
+SHARED_PRIVATE_NAMES = {("hilbert", "lie_core", "_DUAL_PAIR")}
 
 
 def test_src_modules_read_no_private_name_of_another():
@@ -395,6 +396,15 @@ def test_src_modules_read_no_private_name_of_another():
                 if node.value.id in modules and node.value.id != path.stem and private(node.attr):
                     reads.add((path.stem, node.value.id, node.attr))
     assert sorted(reads) == sorted(SHARED_PRIVATE_NAMES)
+
+
+def test_star_product_imports_no_fock_code():
+    """The exact star-product engine stands alone: a fresh interpreter that
+    imports qclimit.star_product loads no other qclimit module."""
+    probe = "import sys, qclimit.star_product; print(sorted(m for m in sys.modules if m.startswith('qclimit')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['qclimit', 'qclimit.star_product']"
 
 
 def test_readme_commands_parse():
@@ -467,6 +477,15 @@ def test_star_limit_sweep_quadratic_pair_reports_exact_limit(tmp_path):
     assert [c["check_id"] for c in report["checks"]] == ["limit-exact"]
     exact = check_by_id(report, "limit-exact")
     assert (exact["measured"], exact["tolerance"], exact["pass"]) == (0.0, 0.0, True)
+
+
+def test_star_limit_sweep_refuses_a_correction_lost_in_rounding(tmp_path, capsys):
+    # {x^4, p^4} = 16 x^3 p^3 - 24 x p hbar^2: every float deviation reads 0, yet the limit is not exact
+    code, report = run_cli(tmp_path, "star-limit-sweep", "--f", "x^4", "--g", "p^4", "--hbar", "1e-30,1e-20")
+    assert code == 1
+    assert report["error"].startswith("ValueError: need a nonzero bracket deviation at two or more distinct hbar")
+    assert [c["check_id"] for c in report["checks"]] == ["diagnostic"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("hbar", ["0.1", "0.1,0.1"])

@@ -11,11 +11,13 @@ value hides a mutant and no mutated value outlives its case.
 
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qclimit import cli, contraction_lab, hilbert, lie_core, star_product
+from qclimit import cli, contraction_lab, coset_rep, hilbert, lie_core, star_product
 
 CACHES = (star_product._monomial_star, hilbert._quadrature_bands, hilbert._x_spectrum)
 
@@ -76,7 +78,7 @@ def xp2_star_x2p_sign(monkeypatch):
 
 def x_star_p2_order1(monkeypatch):
     """x * p^2 with 1 added to its order-1 entry: the bracket of x with the
-    harmonic Hamiltonian, so the quadratic flow fails along with the laws."""
+    quadratic p^2, so quadratic covariance fails along with the laws."""
     slip_entry(monkeypatch, ((1, 0), (0, 2)), 1, lambda c: c + 1)
 
 
@@ -84,6 +86,38 @@ def x3_star_p3_order1(monkeypatch):
     """x^3 * p^3 with 1 added to its order-1 entry: the bracket the classical
     limit sweep takes, whose hbar^0 term then misses the Poisson bracket."""
     slip_entry(monkeypatch, ((3, 0), (0, 3)), 1, lambda c: c + 1)
+
+
+def x3_star_p3_order3_doubled(monkeypatch):
+    """x^3 * p^3 with its order-3 entry doubled: the hbar^2 correction of
+    {x^3, p^3} reads -3 instead of -3/2, and the limit slope stays 2."""
+    slip_entry(monkeypatch, ((3, 0), (0, 3)), 3, lambda c: 2 * c)
+
+
+def equivalent_star(monkeypatch):
+    """star and moyal_bracket conjugated by T = exp(hbar^2 sum_i d_xi^2
+    d_pi^2), a finite sum on polynomials: f *' g = T^-1(Tf * Tg) is a star
+    product equivalent to Moyal's (Bayen et al. 1978) that is not Moyal's.
+    Associativity, the commutator and the limit slope hold for it; it gives
+    {x^3, p^3} = 9 x^2 p^2 - (75/2) hbar^2."""
+
+    def transform(f, sign):
+        """exp(sign hbar^2 sum_i d_xi^2 d_pi^2) f, term n of the series from term n - 1."""
+        d = f.dims
+        hbar2 = star_product.from_text(d, "hbar^2")
+        total = term = f
+        for n in itertools.count(1):
+            parts = (hbar2 * term.diff(i).diff(i).diff(d + i).diff(d + i) for i in range(d))
+            term = sum(parts, star_product.PhasePolynomial.zero(d)).scale(star_product.CRat(Fraction(sign, n)))
+            if term.is_zero:
+                return total
+            total = total + term
+
+    def conjugated(genuine):
+        return lambda f, g: transform(genuine(transform(f, 1), transform(g, 1)), -1)
+
+    monkeypatch.setattr(star_product, "star", conjugated(star_product.star))
+    monkeypatch.setattr(star_product, "moyal_bracket", conjugated(star_product.moyal_bracket))
 
 
 def p_star_x4_order1(monkeypatch):
@@ -148,6 +182,66 @@ def short_sqrt2(monkeypatch):
     monkeypatch.setattr(hilbert, "SQRT2", hilbert.SQRT2 * (1 - 1e-9))
 
 
+def limit_keeps_eps1_terms(monkeypatch):
+    """limit_algebra keeps the eps-power-1 terms as well as the eps-free ones."""
+
+    def mutant(family):
+        sym = family.rescaled
+        entries = {pair: tuple(t for t in terms if t[2] <= 1) for pair, terms in sym.entries.items()}
+        return lie_core.StructureConstantTable(family.base.name + "_limit", sym.generators, entries)
+
+    monkeypatch.setattr(lie_core, "limit_algebra", mutant)
+
+
+def flipped_symplectic_phase(monkeypatch):
+    """weyl_compose_labels adds the symplectic term of the phase kind
+    instead of subtracting it."""
+    genuine = coset_rep.weyl_compose_labels
+
+    def mutant(w1, w2, kind="phase"):
+        p, x, theta = genuine(w1, w2, kind)
+        if kind == "phase":
+            # theta1 + theta2 - s becomes theta1 + theta2 + s
+            theta = 2 * (np.asarray(w1[2]) + np.asarray(w2[2])) - theta
+        return p, x, theta
+
+    monkeypatch.setattr(coset_rep, "weyl_compose_labels", mutant)
+
+
+def conjugated_overlap_formula(monkeypatch):
+    """The closed-form coherent overlap is conjugated: its symplectic phase
+    turns the wrong way."""
+    genuine = hilbert.coherent_overlap_formula
+    monkeypatch.setattr(hilbert, "coherent_overlap_formula", lambda *labels: genuine(*labels).conjugate())
+
+
+def shifted_single_form(monkeypatch):
+    """weyl_unitary(form="single") carries theta + 1e-6 as its global phase."""
+    genuine = hilbert.weyl_unitary
+
+    def mutant(space, p, x, theta=0.0, form="factored"):
+        return genuine(space, p, x, theta + 1e-6 if form == "single" else theta, form)
+
+    monkeypatch.setattr(hilbert, "weyl_unitary", mutant)
+
+
+def negated_rotation_generator(monkeypatch):
+    """FockSpace.j_axis_op returns -J_axis."""
+    genuine = hilbert.FockSpace.j_axis_op
+    monkeypatch.setattr(hilbert.FockSpace, "j_axis_op", lambda space, axis: -1.0 * genuine(space, axis))
+
+
+def damped_predicted_overlap(monkeypatch):
+    """The contracted-label overlap decays faster by exp(-0.25e-6 k^2 d^2)."""
+    genuine = contraction_lab.predicted_overlap
+
+    def mutant(k, label1, label2):
+        d2 = (label1[0] - label2[0]) ** 2 + (label1[1] - label2[1]) ** 2
+        return genuine(k, label1, label2) * math.exp(-0.25e-6 * k * k * d2)
+
+    monkeypatch.setattr(contraction_lab, "predicted_overlap", mutant)
+
+
 def unseeded_generator(monkeypatch):
     """Every generator ignores its seed, so C12's two probe runs draw
     different samples whose worst errors can still agree."""
@@ -162,14 +256,11 @@ MUTANTS = [
     (
         x_star_p2_order1,
         (10,),
-        {
-            "C10.associativity-jacobi",
-            "C10.canonical-commutator",
-            "C10.quadratic-flow-coefficients",
-            "C10.quadratic-flow-exact",
-        },
+        {"C10.associativity-jacobi", "C10.canonical-commutator", "C10.quadratic-covariance"},
     ),
     (x3_star_p3_order1, (10,), {"C10.associativity-jacobi", "C10.classical-slope"}),
+    (x3_star_p3_order3_doubled, (10,), {"C10.associativity-jacobi", "C10.cubic-correction-coefficient"}),
+    (equivalent_star, (10,), {"C10.quadratic-covariance", "C10.cubic-correction-coefficient"}),
     (
         unflipped_mirror,
         (1, 2),
@@ -183,6 +274,12 @@ MUTANTS = [
     ),
     (weighted_rotations, (2,), {"C02.rotation-sector-unchanged"}),
     (limit_without_j23_x2, (2,), {"C02.limit-jacobi", "C02.rotation-sector-unchanged"}),
+    (limit_keeps_eps1_terms, (2,), {"C02.canonical-pairs-commute", "C02.center-absent"}),
+    (flipped_symplectic_phase, (3, 6), {"C03.group-law", "C06.group-law-on-vacuum"}),
+    (conjugated_overlap_formula, (4, 5), {"C04.overlap-3d", "C04.overlap-grid-1d", "C05.element-grid-1d"}),
+    (shifted_single_form, (6,), {"C06.factored-vs-single"}),
+    (negated_rotation_generator, (7,), {"C07.bracket-realization"}),
+    (damped_predicted_overlap, (8, 9), {"C08.closed-form-decay"}),
     (
         stretched_relabel,
         (8, 9),
@@ -195,27 +292,17 @@ MUTANTS = [
             "C09.localization",
         },
     ),
-    (short_sqrt2, (4, 5, 9), {"C04.overlap-spot", "C05.diagonal-labels", "C09.contracted-diagonal"}),
+    (
+        short_sqrt2,
+        (4, 5, 7, 9),
+        {"C04.overlap-spot", "C05.diagonal-labels", "C07.bracket-realization", "C09.contracted-diagonal"},
+    ),
     (unseeded_generator, (12,), {"C12.determinism"}),
 ]
 
 
 # seed-7 checks that no mutant above fails yet
-UNCONTROLLED = (
-    "C02.canonical-pairs-commute",
-    "C02.center-absent",
-    "C03.group-law",
-    "C04.overlap-3d",
-    "C04.overlap-grid-1d",
-    "C05.element-grid-1d",
-    "C06.factored-vs-single",
-    "C06.group-law-on-vacuum",
-    "C07.bracket-realization",
-    "C08.closed-form-decay",
-    "C11.route-deviation",
-    "C11.norm-drift",
-    "C11.step-halving",
-)
+UNCONTROLLED = ("C11.route-deviation", "C11.norm-drift", "C11.step-halving")
 
 
 def test_every_check_has_a_mutant_or_is_listed_uncontrolled():
@@ -284,3 +371,35 @@ def test_commutator_check_counts_every_failing_case(monkeypatch, dims, degree, c
     assert result["failing"] == count
     (record,) = cli.star_commutator_check("commutator")
     assert record.measured == 2.0
+
+
+def per_case_covariance_failing(dims: int, degree: int, m_first=(False, True)) -> int:
+    """harmonic_evolution_check's count taken one (Q, m, order) case at a
+    time, with m in the slots that `m_first` lists (True: m first)."""
+    variable = star_product.PhasePolynomial.variable
+    variables = [variable(dims, kind, axis) for kind in "xp" for axis in range(1, dims + 1)]
+    failing = 0
+    for a, b in itertools.combinations_with_replacement(variables, 2):
+        for m in star_product.monomial_basis(dims, degree):
+            for first in m_first:
+                f, g = (m, a * b) if first else (a * b, m)
+                failing += star_product.moyal_bracket(f, g) != star_product.poisson_bracket(f, g)
+    return failing
+
+
+@pytest.mark.parametrize(("mutate", "count"), [(x_star_p2_order1, 1), (equivalent_star, 4)])
+def test_covariance_check_counts_every_failing_case(monkeypatch, mutate, count):
+    """Under each mutant the banded covariance check counts what a loop over
+    single (Q, m, order) cases counts."""
+    mutate(monkeypatch)
+    result = star_product.harmonic_evolution_check(1, 4)
+    assert (result["failing"], result["exact"]) == (per_case_covariance_failing(1, 4), False)
+    assert result["failing"] == count
+
+
+def test_covariance_needs_m_in_both_slots(monkeypatch):
+    """The x * p^2 slip reaches only {x, p^2}, with m = x in the first slot:
+    a check with m in the second slot alone reads 0."""
+    x_star_p2_order1(monkeypatch)
+    assert per_case_covariance_failing(1, 4, m_first=(False,)) == 0
+    assert per_case_covariance_failing(1, 4, m_first=(True,)) == 1

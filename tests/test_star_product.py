@@ -602,6 +602,7 @@ def test_classical_limit_sweep_slope():
     for rec in out["records"]:
         assert rec["max_abs_err"] == pytest.approx(1.5 * rec["hbar"] ** 2, rel=1e-12)
     assert out["slope"] == pytest.approx(2.0, abs=1e-10)
+    assert out["exact"] is False
 
 
 def test_classical_limit_sweep_keeps_nan_error():
@@ -615,26 +616,50 @@ def test_classical_limit_sweep_quadratic_has_no_corrections():
     x, p = _x(), _p()
     out = classical_limit_sweep(x * x, p * p, seed=7)
     assert all(r["max_abs_err"] == 0.0 for r in out["records"])
-    assert out["slope"] is None
+    assert (out["slope"], out["exact"]) == (None, True)
 
 
-def test_harmonic_flow_follows_classical_rotation():
-    out = harmonic_evolution_check()
-    assert out["quadratic_flow_has_no_corrections"] is True
-    assert out["closes_on_linear_span"] is True
-    assert out["max_coefficient_error"] < 1e-10
+def test_classical_limit_sweep_sees_a_correction_that_rounds_to_zero():
+    # {x^4, p^4} = 16 x^3 p^3 - 24 x p hbar^2: at these hbar the correction is lost in rounding
+    x, p = _x(), _p()
+    out = classical_limit_sweep(x * x * x * x, p * p * p * p, seed=7, hbar_values=(1e-30, 1e-20))
+    assert all(r["max_abs_err"] == 0.0 for r in out["records"])
+    assert (out["slope"], out["exact"]) == (None, False)
 
 
-def test_harmonic_flow_keeps_nan_error(monkeypatch):
-    # a NaN coefficient at the last of the three times must survive the maximum
-    real_rk4, calls = star_product._rk4, []
+# ---------------------------------------------------------------------------
+# quadratic covariance
+# ---------------------------------------------------------------------------
 
-    def rk4(*args):
-        calls.append(args)
-        path = real_rk4(*args)
-        return np.full_like(path, math.nan) if len(calls) == 3 else path
 
-    monkeypatch.setattr(star_product, "_rk4", rk4)
-    out = harmonic_evolution_check()
-    assert len(calls) == 3
-    assert math.isnan(out["max_coefficient_error"])
+# checked = 2 orders x d (2d + 1) quadratics x basis size: 2 x 3 x 15, 2 x 10 x 35 and 2 x 21 x 28
+@pytest.mark.parametrize(("dims", "degree", "checked"), [(1, 4, 90), (2, 3, 700), (3, 2, 1176)])
+def test_quadratic_covariance_on_monomial_basis(dims, degree, checked):
+    """Every quadratic's Moyal bracket with every basis monomial, in both
+    orders, is its Poisson bracket."""
+    assert harmonic_evolution_check(dims, degree) == {"checked": checked, "exact": True, "failing": 0}
+
+
+@pytest.mark.parametrize(("dims", "degree"), [(1, 4), (2, 2)])
+def test_covariance_check_takes_two_brackets_per_quadratic_over_the_per_case_term_pairs(monkeypatch, dims, degree):
+    """The banded check makes one Moyal and one Poisson bracket per quadratic
+    and order, and its Moyal brackets expand the same monomial key pairs,
+    with the same multiplicities, as a loop over single (Q, m, order) cases."""
+    variables = [PhasePolynomial.variable(dims, kind, axis) for kind in "xp" for axis in range(1, dims + 1)]
+    quadratics = [a * b for a, b in itertools.combinations_with_replacement(variables, 2)]
+    expansions = []
+    genuine = star_product._monomial_star
+    monkeypatch.setattr(star_product, "_monomial_star", lambda f, g: expansions.append((f, g)) or genuine(f, g))
+    for q in quadratics:
+        for m in monomial_basis(dims, degree):
+            moyal_bracket(q, m), moyal_bracket(m, q)
+    per_case = collections.Counter(expansions)
+    expansions.clear()
+    calls = collections.Counter()
+    monkeypatch.setattr(star_product, "moyal_bracket", lambda f, g: calls.update(["moyal"]) or moyal_bracket(f, g))
+    monkeypatch.setattr(
+        star_product, "poisson_bracket", lambda f, g: calls.update(["poisson"]) or poisson_bracket(f, g)
+    )
+    assert harmonic_evolution_check(dims, degree)["exact"] is True
+    assert calls == {"moyal": 2 * len(quadratics), "poisson": 2 * len(quadratics)}
+    assert collections.Counter(expansions) == per_case
