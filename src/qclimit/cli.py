@@ -602,15 +602,16 @@ def cmd_coset_compose(args) -> list[CheckRecord]:
     return records
 
 
-def _overlap_errors(labels, state, space) -> list[float]:
-    """|<state(space, p1, x1)|state(space, p2, x2)> - closed form| for each
-    1D label row (p1, x1, p2, x2).  The closed forms are one broadcast call;
-    tolist() makes them Python complexes, so each error takes Python's abs."""
+def _overlap_errors(labels, space) -> list[float]:
+    """|<p1, x1|p2, x2> - closed form| on `space`, a 1-mode Fock space or a
+    position grid, for each 1D label row (p1, x1, p2, x2).  The states are
+    built at once (coherent_pair_overlaps) and the closed forms are one
+    broadcast call; tolist() makes them Python complexes, so each error takes
+    Python's abs."""
     p1, x1, p2, x2 = labels.T[:, :, None]
     want = hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0).tolist()
-    return [
-        abs(hilbert.overlap(state(space, a, b), state(space, c, d)) - w) for (a, b, c, d), w in zip(labels, want)
-    ]
+    pairs = np.insert(labels, [2, 4], 0.0, axis=1).reshape(-1, 2, 3)  # theta = 0 after each (p, x)
+    return [abs(got - w) for got, w in zip(hilbert.coherent_pair_overlaps(space, pairs), want)]
 
 
 def cmd_coherent_overlap(args) -> list[CheckRecord]:
@@ -628,7 +629,7 @@ def cmd_coherent_overlap(args) -> list[CheckRecord]:
         corner_want = hilbert.coherent_overlap_formula(3.0, 3.0, 0.0, -3.0, -3.0, 0.0)
         corner_err = abs(corner - corner_want) / abs(corner_want)
         records.append(CheckRecord("far-corner-relative", law, corner_err, 0.0, 1e-8))
-        errors = _overlap_errors(rng.uniform(-2, 2, size=(50, 4)), hilbert.coherent_state, space)
+        errors = _overlap_errors(rng.uniform(-2, 2, size=(50, 4)), space)
         records.append(CheckRecord("moderate-labels", law, _worst(errors), 0.0, 1e-10))
         if args.modes == 3:
             three_err = overlap_3d_max_rel_err(rng, 10)
@@ -637,7 +638,7 @@ def cmd_coherent_overlap(args) -> list[CheckRecord]:
         for name, value in GRID_DEFAULTS.items():  # so the manifest records the grid used
             vars(args).setdefault(name, value)
         grid = hilbert.GridSpace(args.grid_extent, args.grid_points)
-        errors = _overlap_errors(rng.uniform(-2, 2, size=(50, 4)), hilbert.grid_coherent_state, grid)
+        errors = _overlap_errors(rng.uniform(-2, 2, size=(50, 4)), grid)
         records.append(CheckRecord("grid-vs-closed-form", law, _worst(errors), 0.0, 1e-9))
         pairs = [((p1, x1, 0.0), (p2, x2, 0.0)) for p1, x1, p2, x2 in rng.uniform(-2, 2, size=(50, 4))]
         cross_err = _worst([r["abs_diff"] for r in hilbert.cross_validate_backends(pairs, space, grid)])

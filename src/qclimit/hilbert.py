@@ -12,8 +12,11 @@ Conventions, fixed once and used everywhere:
 - states carry the label phase: state(p, x, theta) = exp(i theta) D(alpha)|0>.
 
 Per mode, everything is derived from one ladder vector sqrt(1..N), the
-superdiagonal of the truncated annihilator.  The coherent coefficients are
-one running product of exp(-|alpha|^2/2) and alpha/sqrt(n).  Every operator
+superdiagonal of the truncated annihilator.  The coherent coefficients of a
+whole label set are one cumulative product, a row per label, of
+exp(-|alpha|^2/2) and alpha/sqrt(n); on the position grid a label set's
+wavefunctions are one broadcast exp.  One guard pass checks a label set for
+both backends, and a pair overlap is one vdot of two rows.  Every operator
 (x_op, p_op, the rotation generators j_axis_op, identity) is an
 OffsetOperator: per offset d between occupation tuples, the array of entries
 <r|A|r + d>, so a product of banded operators is a few shifted array
@@ -31,9 +34,10 @@ All tolerance-critical closed forms (overlap, matrix elements) have high
 precision Fock-sum counterparts (suffix _hp), so that formula checks are not
 polluted by float64 cancellation at small overlaps.  They are exact dot
 products (Kulisch-Miranker 1981) of fixed-point integers: the coherent
-coefficients come from an integer recursion with guard bits (one stdlib
-decimal exp per label), correctly rounded to FRAC_BITS fractional bits, once
-per distinct label and call; X and P act through fixed-point band roots.
+coefficients come from an integer recursion with guard bits, started from
+an integer Taylor series and squarings for exp(-(x^2 + p^2)/4) (the scheme
+of the fixed-point phase), correctly rounded to FRAC_BITS fractional bits,
+once per distinct label and call; X and P act through fixed-point band roots.
 fock_gram_hp sums a whole grid of label pairs, for one or more kinds, on
 BLAS (Ozaki-Ogita-Oishi-Rump 2012): each integer is split once into signed
 16-bit digits held in float64, and matmuls over the whole grid, one set
@@ -57,7 +61,6 @@ stride.
 
 from __future__ import annotations
 
-import decimal
 import math
 import operator
 from dataclasses import dataclass
@@ -243,9 +246,12 @@ class OffsetOperator:
         return out
 
 
+@lru_cache(maxsize=16)
 def _ladder(mode_dim: int) -> np.ndarray:
-    """Superdiagonal of the truncated annihilator: a|n> = sqrt(n)|n-1>."""
-    return np.sqrt(np.arange(1.0, mode_dim))
+    """Superdiagonal of the truncated annihilator: a|n> = sqrt(n)|n-1>, read-only."""
+    s = np.sqrt(np.arange(1.0, mode_dim))
+    s.flags.writeable = False
+    return s
 
 
 @lru_cache(maxsize=16)
@@ -315,13 +321,16 @@ def vacuum_state(space: FockSpace) -> StateVector:
     return StateVector("fock", space, c)
 
 
-def _mode_coherent_coeffs(alpha: complex, dim: int) -> np.ndarray:
-    """c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!), n < dim, as one running
-    product of [exp(-|alpha|^2/2), alpha/sqrt(1), ..., alpha/sqrt(dim - 1)]."""
-    factors = np.empty(dim, dtype=complex)
-    factors[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    factors[1:] = alpha / _ladder(dim)
-    return np.cumprod(factors)
+def _mode_coherent_coeffs(alphas, dim: int) -> np.ndarray:
+    """Row k: c_n = exp(-|a|^2/2) a^n / sqrt(n!), n < dim, for a = alphas[k],
+    as the running product along the row of
+    [exp(-|a|^2/2), a/sqrt(1), ..., a/sqrt(dim - 1)]: one cumprod for all rows."""
+    alphas = np.asarray(alphas, dtype=complex)
+    factors = np.empty((len(alphas), dim), dtype=complex)
+    # math's hypot and exp per label: numpy's SIMD loops may round the leading factor differently
+    factors[:, 0] = [math.exp(-0.5 * abs(a) ** 2) for a in alphas.tolist()]
+    factors[:, 1:] = alphas[:, None] / _ladder(dim)
+    return np.cumprod(factors, axis=1)
 
 
 def _poisson_tail(lam: float, cutoff: int) -> float:
@@ -340,21 +349,60 @@ def _poisson_tail(lam: float, cutoff: int) -> float:
     return total
 
 
+def _check_labels(labels: np.ndarray, spaces) -> None:
+    """Raise for the first label in input order that is not finite or breaks
+    a guard of one of `spaces` (FockSpace or GridSpace), checked in that
+    order.  Row k of `labels` is label k: its p per mode, its x per mode and
+    its theta."""
+    finite = np.isfinite(labels).all(axis=1)
+    if not finite.all():
+        labels = np.where(finite[:, None], labels, 0.0)  # so that no guard reads a NaN or an infinity
+    failures = [(~finite, lambda k: ValueError("labels must be finite"))]
+    for space in spaces:
+        failures += _guard_failures(space, labels)
+    bad = reduce(operator.or_, [mask for mask, _ in failures])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise next(error(k) for mask, error in failures if mask[k])
+
+
+def _guard_failures(space, labels: np.ndarray) -> list:
+    """(mask, error) per guard of the space: mask[k] holds where label k
+    breaks the guard, error(k) is the exception it raises.
+
+    A FockSpace requires mean occupation |alpha|^2 <= cutoff/4 in every mode.
+    A GridSpace keeps five standard deviations of position inside the box and
+    of momentum inside the spectral band, which bounds norm defects near 1e-12.
+    """
+    if isinstance(space, FockSpace):
+        p, x = labels[:, : space.modes], labels[:, space.modes : 2 * space.modes]
+        occupation = np.abs((x + 1j * p) / SQRT2).max(axis=1) ** 2
+        return [(occupation > space.cutoff / 4.0, lambda k: TruncationGuardError(float(occupation[k]), space.cutoff))]
+    p, x = labels[:, 0], labels[:, 1]
+    return [
+        (
+            np.abs(x) + 5.0 > space.extent,
+            lambda k: ValueError(f"label x={x[k]} too close to the box edge (extent {space.extent})"),
+        ),
+        (
+            np.abs(p) + 5.0 > space.momentum_limit,
+            lambda k: ValueError(f"label p={p[k]} too close to the spectral band edge"),
+        ),
+    ]
+
+
 def coherent_state(space: FockSpace, p, x, theta: float = 0.0) -> StateVector:
     """exp(i theta) D(alpha)|0> with alpha_i = (x_i + i p_i)/sqrt(2) per mode.
 
     The truncation guard requires mean occupation |alpha|^2 <= cutoff/4 in
-    every mode; the reported truncation bound is the exact norm^2 the cutoff
-    drops, 1 - prod_i (1 - P(cutoff + 1, |alpha_i|^2)).
+    every mode, and the label must be finite; the reported truncation bound
+    is the exact norm^2 the cutoff drops, 1 - prod_i (1 - P(cutoff + 1, |alpha_i|^2)).
     """
     p = _as_mode_vector(p, space.modes)
     x = _as_mode_vector(x, space.modes)
+    _check_labels(np.concatenate((p, x, [theta]))[None], (space,))
     alphas = (x + 1j * p) / SQRT2
-    worst = float(np.max(np.abs(alphas) ** 2))
-    if worst > space.cutoff / 4.0:
-        raise TruncationGuardError(worst, space.cutoff)
-    vec = reduce(np.kron, [_mode_coherent_coeffs(complex(alpha), space.mode_dim) for alpha in alphas])
-    vec = vec * np.exp(1j * theta)
+    vec = reduce(np.kron, _mode_coherent_coeffs(alphas, space.mode_dim)) * np.exp(1j * theta)
     kept_log = sum(math.log1p(-_poisson_tail(abs(alpha) ** 2, space.cutoff)) for alpha in alphas)
     return StateVector("fock", space, vec, abs(math.expm1(kept_log)))
 
@@ -419,7 +467,11 @@ FRAC_BITS = 135  # fractional bits of the fixed-point coherent coefficients and 
 
 def _fixed(value, bits: int) -> int:
     """floor(value 2^bits + 1/2), exactly, for a float, Fraction or Decimal."""
-    num, den = value.as_integer_ratio()
+    return _fixed_ratio(*value.as_integer_ratio(), bits)
+
+
+def _fixed_ratio(num: int, den: int, bits: int) -> int:
+    """floor(num/den 2^bits + 1/2), exactly, for ints num and den > 0."""
     return ((num << (bits + 1)) + den) // (den << 1)
 
 
@@ -442,12 +494,12 @@ def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
     coefficients c_n = exp(-(x^2 + p^2)/4) (x + i p)^n / sqrt(2^n n!).
 
     The recursion c_n = c_{n-1} (x + i p)/sqrt(2n) runs in integers with
-    w = bits + guard fractional bits, from c_0 (one correctly rounded decimal
-    exp at more than w bits) and X + iP = round((x + i p) 2^w), rounding each
-    step to nearest.  The guard covers the growth of the error in c_0 up to
-    the Poisson peak (at most exp((x^2 + p^2)/4)), one rounding per step and
-    32 bits more, so each result is correctly rounded unless it lies within
-    2^-32 units of a tie.
+    w = bits + guard fractional bits, from c_0 (_fixed_exp on the exact
+    rational -(x^2 + p^2)/4, within 0.5 + 2^-30 units at w bits) and
+    X + iP = round((x + i p) 2^w), rounding each step to nearest.  The guard
+    covers the growth of the error in c_0 up to the Poisson peak (at most
+    exp((x^2 + p^2)/4)), one rounding per step and 32 bits more, so each
+    result is correctly rounded unless it lies within 2^-32 units of a tie.
     """
     lam = 0.5 * (x * x + p * p)  # mean occupation |alpha|^2
     # log of the largest |c_n|: the Poisson peak at n = floor(lam), or the last level
@@ -458,8 +510,9 @@ def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
         return [0] * dim, [0] * dim
     guard = 36 + dim.bit_length() + math.ceil(0.5 * lam * math.log2(math.e))
     w = bits + guard
-    with decimal.localcontext(decimal.Context(prec=w // 3 + 4)):
-        cr, ci = _fixed((-(decimal.Decimal(x) ** 2 + decimal.Decimal(p) ** 2) / 4).exp(), w), 0
+    # the exact -(x^2 + p^2)/4 from the integer ratios of x and p
+    (xn, xd), (pn, pd) = x.as_integer_ratio(), p.as_integer_ratio()
+    cr, ci = _fixed_exp(-(xn * xn * pd * pd + pn * pn * xd * xd), 0, 4 * xd * xd * pd * pd, w)
     big_x, big_p = _fixed(x, w), _fixed(p, w)
     half, shift = 1 << (2 * w - 1), 2 * w
     re, im = [cr], [ci]
@@ -603,25 +656,38 @@ def fock_gram_hp(rows, cols, cutoff: int, kinds) -> tuple:
     return tuple(out)
 
 
-def _fixed_phase(phi: Fraction, bits: int) -> tuple:
-    """(re, im) = round(exp(i phi) 2^bits), each within 0.5 + 2^-30 units: the
-    Taylor series of exp(i phi/2^s), |phi/2^s| <= 1, summed in integers with
-    w = bits + s + 40 fractional bits and squared s times; the 40 guard bits
-    cover the 2^s growth of every error made before the squarings."""
-    s = int(abs(phi)).bit_length()
+EXP_REDUCTION_BITS = 8  # 8 more squarings cut a 185-bit c_0 series from 46 terms to 20
+
+
+def _fixed_exp(re_num: int, im_num: int, den: int, bits: int) -> tuple:
+    """(re, im) = round(exp(z) 2^bits) for z = (re_num + i im_num)/den with
+    re_num <= 0 < den, each within 0.5 + 2^-30 units: the Taylor series of
+    exp(z/2^s), |z/2^s| < 2^-EXP_REDUCTION_BITS, summed in integers with
+    w = bits + s + 40 fractional bits and squared s times.  Every value stays
+    within 1 + 2^-w of the unit disk, so each squaring at most doubles the
+    absolute error, and the 40 guard bits cover the 2^s growth of every error
+    made before the squarings."""
+    s = (max(-re_num, abs(im_num)) // den).bit_length() + EXP_REDUCTION_BITS
     w = bits + s + 40
-    y = _fixed(phi, bits + 40)  # phi/2^s with w fractional bits
+    yr, yi = _fixed_ratio(re_num, den, bits + 40), _fixed_ratio(im_num, den, bits + 40)  # z/2^s, w fractional bits
     re = tr = 1 << w
     im = ti = k = 0
     while tr or ti:
         k += 1
-        # term *= i y / k, rounded to nearest, so |term| falls to 0
-        den = k << w
-        tr, ti = (den - 2 * ti * y) // (2 * den), (den + 2 * tr * y) // (2 * den)
+        # term *= y / k, rounded to nearest, so |term| falls to 0: floor(floor(v / 2^w) / k)
+        # is floor(v / (k 2^w)), so the division is by the small k
+        half = k << (w - 1)
+        tr, ti = ((tr * yr - ti * yi + half) >> w) // k, ((tr * yi + ti * yr + half) >> w) // k
         re, im = re + tr, im + ti
     for _ in range(s):
         re, im = (re * re - im * im) >> w, (2 * re * im) >> w
-    return _fixed(Fraction(re, 1 << w), bits), _fixed(Fraction(im, 1 << w), bits)
+    half = 1 << (w - bits - 1)
+    return (re + half) >> (w - bits), (im + half) >> (w - bits)
+
+
+def _fixed_phase(phi: Fraction, bits: int) -> tuple:
+    """(re, im) = round(exp(i phi) 2^bits), each within 0.5 + 2^-30 units."""
+    return _fixed_exp(0, *phi.as_integer_ratio(), bits)
 
 
 def _hp_element(kind: str, pairs, theta1, theta2, cutoff: int) -> complex:
@@ -828,43 +894,55 @@ class GridSpace:
         return math.pi / self.spacing
 
 
-def grid_coherent_state(grid: GridSpace, p: float, x: float, theta: float = 0.0) -> StateVector:
-    """Sampled wavefunction pi^(-1/4) exp(-(y-x)^2/2 + i p y - i p x / 2).
+def _coherent_rows(space, p: np.ndarray, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Row k: the coefficients of the 1D coherent state (p[k], x[k], theta[k]),
+    for labels already checked.  On a 1-mode FockSpace they are bit for bit
+    coherent_state's, one cumprod for the whole label set; on a GridSpace the
+    sampled wavefunction pi^(-1/4) exp(-(y-x)^2/2 + i p y - i p x / 2 + i theta)
+    times sqrt(spacing), one broadcast exp."""
+    if isinstance(space, GridSpace):
+        y = space.positions
+        p, x, theta = p[:, None], x[:, None], theta[:, None]
+        psi = np.pi**-0.25 * np.exp(-0.5 * (y - x) ** 2 + 1j * p * y - 0.5j * p * x + 1j * theta)
+        return psi * math.sqrt(space.spacing)
+    return _mode_coherent_coeffs((x + 1j * p) / SQRT2, space.mode_dim) * np.exp(1j * theta)[:, None]
 
-    Guards keep five standard deviations of position inside the box and of
-    momentum inside the spectral band, which bounds norm defects near 1e-12.
-    """
-    if abs(x) + 5.0 > grid.extent:
-        raise ValueError(f"label x={x} too close to the box edge (extent {grid.extent})")
-    if abs(p) + 5.0 > grid.momentum_limit:
-        raise ValueError(f"label p={p} too close to the spectral band edge")
-    y = grid.positions
-    psi = np.pi**-0.25 * np.exp(-0.5 * (y - x) ** 2 + 1j * p * y - 0.5j * p * x + 1j * theta)
-    coeff = psi * math.sqrt(grid.spacing)
-    return StateVector("grid", grid, coeff)
+
+def _pair_overlaps(rows: np.ndarray) -> list[complex]:
+    """<rows[2j]|rows[2j + 1]> for each j: one vdot per pair, as overlap takes it."""
+    return [complex(np.vdot(a, b)) for a, b in zip(rows[0::2], rows[1::2])]
+
+
+def coherent_pair_overlaps(space, pairs) -> list[complex]:
+    """<l1|l2> for each 1D label pair (l1, l2), l = (p, x, theta), on a
+    1-mode FockSpace (bit for bit overlap() of the two coherent_state states)
+    or a GridSpace.  All states are built at once, after the space's guards
+    (_guard_failures) and a finiteness check: the first bad label in input
+    order raises."""
+    if isinstance(space, FockSpace) and space.modes != 1:
+        raise ValueError("pair overlaps are defined for the 1D backends")
+    labels = np.array(list(pairs), dtype=float).reshape(-1, 3)  # rows (p, x, theta), in input order
+    _check_labels(labels, (space,))
+    return _pair_overlaps(_coherent_rows(space, *labels.T))
 
 
 def cross_validate_backends(
     pairs, space: FockSpace, grid: GridSpace
 ) -> list[dict]:
-    """Overlap of each 1D label pair on both backends, with the difference."""
+    """Overlap of each 1D label pair on both backends, with the difference.
+
+    One guard pass covers both backends, so the first bad label in input
+    order raises what the Fock or grid state would; then each backend builds
+    all its states at once."""
     if space.modes != 1:
         raise ValueError("cross-validation is defined for the 1D backends")
-    records = []
-    for pair_id, (l1, l2) in enumerate(pairs):
-        p1, x1, t1 = l1
-        p2, x2, t2 = l2
-        fock = overlap(coherent_state(space, p1, x1, t1), coherent_state(space, p2, x2, t2))
-        gridv = overlap(grid_coherent_state(grid, p1, x1, t1), grid_coherent_state(grid, p2, x2, t2))
-        records.append(
-            {
-                "pair_id": pair_id,
-                "fock": fock,
-                "grid": gridv,
-                "abs_diff": abs(fock - gridv),
-            }
-        )
-    return records
+    labels = np.array(list(pairs), dtype=float).reshape(-1, 3)  # rows (p, x, theta), in input order
+    _check_labels(labels, (space, grid))
+    fock, gridv = (_pair_overlaps(_coherent_rows(s, *labels.T)) for s in (space, grid))
+    return [
+        {"pair_id": pair_id, "fock": f, "grid": g, "abs_diff": abs(f - g)}
+        for pair_id, (f, g) in enumerate(zip(fock, gridv))
+    ]
 
 
 # ---------------------------------------------------------------------------

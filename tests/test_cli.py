@@ -274,7 +274,7 @@ def test_overlap_errors_equal_the_per_pair_loop():
         got = cli.hilbert.overlap(cli.hilbert.coherent_state(space, p1, x1), cli.hilbert.coherent_state(space, p2, x2))
         want.append(abs(got - cli.hilbert.coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)))
     labels = new_rng.uniform(-2, 2, size=(50, 4))
-    assert cli._overlap_errors(labels, cli.hilbert.coherent_state, space) == want
+    assert cli._overlap_errors(labels, space) == want
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import signal
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
@@ -19,12 +21,12 @@ from qclimit.hilbert import (
     TruncationGuardError,
     build_fock_space,
     coherent_overlap_formula,
+    coherent_pair_overlaps,
     coherent_state,
     cross_validate_backends,
     fock_gram_hp,
     fock_matrix_element_hp,
     fock_overlap_hp,
-    grid_coherent_state,
     matrix_element,
     matrix_element_formula,
     operator_commutator_check,
@@ -214,10 +216,33 @@ def test_running_product_coefficients_match_the_recursion(cutoff):
     from qclimit.hilbert import _mode_coherent_coeffs
 
     for occupation in (0.1, 1.0, 10.0, cutoff / 4 - 1):
-        for phase in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
-            alpha = math.sqrt(occupation) * complex(math.cos(phase), math.sin(phase))
-            got = _mode_coherent_coeffs(alpha, cutoff + 1)
+        phases = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+        alphas = [math.sqrt(occupation) * complex(math.cos(phase), math.sin(phase)) for phase in phases]
+        rows = _mode_coherent_coeffs(alphas, cutoff + 1)
+        assert rows.shape == (7, cutoff + 1)
+        for alpha, got in zip(alphas, rows):
             assert np.abs(got - _loop_coherent_coeffs(alpha, cutoff + 1)).max() <= 4e-15
+
+
+def _cumprod_coherent_coeffs(alpha: complex, dim: int) -> np.ndarray:
+    """Reference: one mode's coefficients as a 1-D np.cumprod of its own factors."""
+    factors = np.empty(dim, dtype=complex)
+    factors[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    factors[1:] = alpha / np.sqrt(np.arange(1.0, dim))
+    return np.cumprod(factors)
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 64), (1, 512), (3, 16)])
+def test_coherent_state_is_bit_equal_to_a_per_mode_cumprod(modes, cutoff):
+    space = build_fock_space(modes, cutoff)
+    rng = np.random.default_rng(8 + modes)
+    for _ in range(40):
+        p, x = rng.uniform(-2.0, 2.0, size=(2, modes))
+        theta = rng.uniform(-np.pi, np.pi)
+        label = (float(p[0]), float(x[0])) if modes == 1 else (p, x)
+        alphas = (np.atleast_1d(label[1]) + 1j * np.atleast_1d(label[0])) / SQRT2
+        want = reduce(np.kron, [_cumprod_coherent_coeffs(complex(a), cutoff + 1) for a in alphas]) * np.exp(1j * theta)
+        assert coherent_state(space, *label, theta).coefficients.tobytes() == want.tobytes()
 
 
 def test_truncation_guard_reports_required_cutoff():
@@ -957,41 +982,144 @@ def test_grid_space_validation():
         GridSpace(-1.0, 16)
 
 
+def grid_coherent_state(grid: GridSpace, p: float, x: float, theta: float = 0.0) -> StateVector:
+    """Reference: one label's grid state, the sampled wavefunction
+    pi^(-1/4) exp(-(y-x)^2/2 + i p y - i p x / 2 + i theta) sqrt(spacing)."""
+    y = grid.positions
+    psi = np.pi**-0.25 * np.exp(-0.5 * (y - x) ** 2 + 1j * p * y - 0.5j * p * x + 1j * theta)
+    return StateVector("grid", grid, psi * math.sqrt(grid.spacing))
+
+
 def test_grid_coherent_norm_and_guards():
     grid = GridSpace(10.0, 160)
-    s = grid_coherent_state(grid, p=1.0, x=2.0, theta=0.4)
-    assert abs(np.linalg.norm(s.coefficients) - 1.0) < 1e-9
+    label = (1.0, 2.0, 0.4)
+    (norm2,) = coherent_pair_overlaps(grid, [(label, label)])
+    assert abs(norm2 - 1.0) < 2e-9
     with pytest.raises(ValueError, match="box edge"):
-        grid_coherent_state(grid, p=0.0, x=5.5)
+        coherent_pair_overlaps(grid, [((0.0, 5.5, 0.0), label)])
     with pytest.raises(ValueError, match="band edge"):
-        grid_coherent_state(grid, p=21.0, x=0.0)
+        coherent_pair_overlaps(grid, [(label, (21.0, 0.0, 0.0))])
 
 
 def test_grid_overlap_matches_closed_form():
     grid = GridSpace(10.0, 160)
     rng = np.random.default_rng(29)
-    for _ in range(30):
+    pairs = [((p1, x1, t1), (p2, x2, t2)) for p1, x1, p2, x2, t1, t2 in rng.uniform(-2, 2, size=(30, 6))]
+    for got, ((p1, x1, t1), (p2, x2, t2)) in zip(coherent_pair_overlaps(grid, pairs), pairs, strict=True):
+        assert abs(got - coherent_overlap_formula(p1, x1, t1, p2, x2, t2)) < 1e-9
+
+
+def _cross_validation_pairs(rng, n):
+    pairs = []
+    for _ in range(n):
         p1, x1, p2, x2 = rng.uniform(-2, 2, size=4)
         t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
-        got = overlap(
-            grid_coherent_state(grid, p1, x1, t1), grid_coherent_state(grid, p2, x2, t2)
-        )
-        want = coherent_overlap_formula(p1, x1, t1, p2, x2, t2)
-        assert abs(got - want) < 1e-9
+        pairs.append(((p1, x1, t1), (p2, x2, t2)))
+    return pairs
 
 
 def test_backend_cross_validation():
     space = build_fock_space(1, 64)
     grid = GridSpace(10.0, 160)
-    rng = np.random.default_rng(71)
-    pairs = []
-    for _ in range(100):
-        p1, x1, p2, x2 = rng.uniform(-2, 2, size=4)
-        t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
-        pairs.append(((p1, x1, t1), (p2, x2, t2)))
+    pairs = _cross_validation_pairs(np.random.default_rng(71), 100)
     records = cross_validate_backends(pairs, space, grid)
     assert len(records) == 100
     assert max(r["abs_diff"] for r in records) < 1e-7
+    # the batched states give the records of one state per label and one overlap per pair, bit for bit
+    want = []
+    for pair_id, (l1, l2) in enumerate(pairs):
+        assert l1[2] != 0.0 and l2[2] != 0.0
+        fock = overlap(coherent_state(space, *l1), coherent_state(space, *l2))
+        gridv = overlap(grid_coherent_state(grid, *l1), grid_coherent_state(grid, *l2))
+        want.append({"pair_id": pair_id, "fock": fock, "grid": gridv, "abs_diff": abs(fock - gridv)})
+    assert records == want
+
+
+def test_grid_overlap_errors_equal_the_per_label_route():
+    from qclimit import cli
+
+    grid = GridSpace(10.0, 160)
+    labels = np.random.default_rng(5).uniform(-2, 2, size=(50, 4))
+    want = []
+    for p1, x1, p2, x2 in labels:
+        got = overlap(grid_coherent_state(grid, p1, x1), grid_coherent_state(grid, p2, x2))
+        want.append(abs(got - coherent_overlap_formula(p1, x1, 0.0, p2, x2, 0.0)))
+    assert cli._overlap_errors(labels, grid) == want
+
+
+def test_empty_pair_lists_give_no_records():
+    space, grid = build_fock_space(1, 64), GridSpace(10.0, 160)
+    assert cross_validate_backends([], space, grid) == []
+    assert coherent_pair_overlaps(space, []) == coherent_pair_overlaps(grid, []) == []
+
+
+TRUNCATION_MESSAGE = "mean occupation {} exceeds cutoff/4 = 4.000; use cutoff >= {}"
+
+
+@pytest.mark.parametrize(
+    "bad, cutoff, backend, error, message",
+    [
+        ((3.0, 3.0, 0.0), 16, "fock", TruncationGuardError, TRUNCATION_MESSAGE.format("9.000", 36)),
+        ((0.0, 5.5, 0.0), 64, "grid", ValueError, "label x=5.5 too close to the box edge (extent 10.0)"),
+        ((0.0, 5.5, 0.0), 16, "fock", TruncationGuardError, TRUNCATION_MESSAGE.format("15.125", 61)),
+        ((21.0, 0.0, 0.0), 1024, "grid", ValueError, "label p=21.0 too close to the spectral band edge"),
+        ((math.nan, 0.0, 0.0), 16, "fock", ValueError, "labels must be finite"),
+    ],
+)
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_a_batch_raises_for_its_first_bad_label(bad, cutoff, backend, error, message, k):
+    """The k-th of 8 labels breaks one guard: the error type and message of
+    the state built for it alone; the Fock guard is checked before the grid's."""
+    space, grid = build_fock_space(1, cutoff), GridSpace(10.0, 160)
+    labels = [(0.5, -0.25, 0.3)] * 8
+    labels[k] = bad
+    pairs = list(zip(labels[0::2], labels[1::2]))
+    with pytest.raises(error) as err:
+        cross_validate_backends(pairs, space, grid)
+    assert type(err.value) is error and str(err.value) == message
+    with pytest.raises(error) as err:
+        coherent_pair_overlaps(space if backend == "fock" else grid, pairs)
+    assert type(err.value) is error and str(err.value) == message
+    if k < 7:  # a later bad label does not mask the first
+        labels[7] = (0.0, math.inf, 0.0)
+        with pytest.raises(error) as err:
+            cross_validate_backends(list(zip(labels[0::2], labels[1::2])), space, grid)
+        assert str(err.value) == message
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail, not hang, when the block runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_labels_are_refused_on_both_backends(value):
+    space, grid = build_fock_space(1, 16), GridSpace(10.0, 160)
+    good = (0.0, 0.0, 0.0)
+    with _deadline(10):
+        for label in ((value, 0.0), (0.0, value)):
+            with pytest.raises(ValueError, match="^labels must be finite$"):
+                coherent_state(space, *label)
+            with pytest.raises(ValueError, match="^labels must be finite$"):
+                coherent_pair_overlaps(grid, [(good, (*label, 0.0))])
+        with pytest.raises(ValueError, match="^labels must be finite$"):
+            coherent_state(space, 0.0, 0.0, value)
+        with pytest.raises(ValueError, match="^labels must be finite$"):
+            coherent_state(build_fock_space(3, 8), [0.0, value, 0.0], [0.0, 0.0, 0.0])
+        pairs = [(good, good)] * 3 + [(good, (0.0, 0.0, value))] + [(good, good)]
+        with pytest.raises(ValueError, match="^labels must be finite$"):
+            cross_validate_backends(pairs, space, grid)
 
 
 # ---------------------------------------------------------------------------
