@@ -37,7 +37,8 @@ products (Kulisch-Miranker 1981) of fixed-point integers: the coherent
 coefficients come from an integer recursion with guard bits, started from
 an integer Taylor series and squarings for exp(-(x^2 + p^2)/4) (the scheme
 of the fixed-point phase), correctly rounded to FRAC_BITS fractional bits,
-once per distinct label and call; X and P act through fixed-point band roots.
+once per distinct label and cutoff per process, in a bounded cache; X and P
+act through fixed-point band roots.
 fock_gram_hp sums a whole grid of label pairs, for one or more kinds, on
 BLAS (Ozaki-Ogita-Oishi-Rump 2012): each integer is split once into signed
 16-bit digits held in float64, and matmuls over the whole grid, one set
@@ -489,9 +490,11 @@ def _fixed_step(mode_dim: int, bits: int) -> tuple:
     return tuple(math.isqrt((1 << (2 * bits - 1)) // n) for n in range(1, mode_dim))
 
 
+@lru_cache(maxsize=32)
 def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
-    """(re, im): lists of round(c_n 2^bits), n < dim, for the coherent
+    """(re, im): tuples of round(c_n 2^bits), n < dim, for the coherent
     coefficients c_n = exp(-(x^2 + p^2)/4) (x + i p)^n / sqrt(2^n n!).
+    Cached per (p, x, dim, bits); the tuples cannot be changed by a caller.
 
     The recursion c_n = c_{n-1} (x + i p)/sqrt(2n) runs in integers with
     w = bits + guard fractional bits, from c_0 (_fixed_exp on the exact
@@ -507,7 +510,7 @@ def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
     log_peak = 0.5 * (top * math.log(lam) - math.lgamma(top + 1) - lam) if top else -0.5 * lam
     if not log_peak >= -(bits + 2) * math.log(2.0):
         # every |c_n| 2^bits < 1/4 (also when lam overflows to inf)
-        return [0] * dim, [0] * dim
+        return (0,) * dim, (0,) * dim
     guard = 36 + dim.bit_length() + math.ceil(0.5 * lam * math.log2(math.e))
     w = bits + guard
     # the exact -(x^2 + p^2)/4 from the integer ratios of x and p
@@ -521,7 +524,7 @@ def _fixed_coherent(p: float, x: float, dim: int, bits: int) -> tuple:
         re.append(cr)
         im.append(ci)
     half = 1 << (guard - 1)
-    return [(v + half) >> guard for v in re], [(v + half) >> guard for v in im]
+    return tuple((v + half) >> guard for v in re), tuple((v + half) >> guard for v in im)
 
 
 def _fixed_image(coeffs: tuple, kind: str) -> tuple:
@@ -545,9 +548,24 @@ def _frac_bits(kind: str) -> int:
     return (2 if kind == "c" else 3) * FRAC_BITS
 
 
+def _cutoff_index(cutoff) -> int:
+    """cutoff as a Python int (numpy integers too), refusing bools, floats
+    and negative values."""
+    try:
+        index = None if isinstance(cutoff, bool) else operator.index(cutoff)  # numpy bools raise
+    except TypeError:
+        index = None
+    if index is None or index < 0:
+        raise ValueError(f"cutoff must be a non-negative integer, got {cutoff!r}")
+    return index
+
+
 def _fixed_coefficients(rows, cols, cutoff: int, kinds) -> tuple:
     """(rows, cols, coefficients): the row and column labels as float pairs,
-    and each distinct label's _fixed_coherent (re, im), computed once."""
+    and each distinct label's _fixed_coherent (re, im), computed once per
+    label and cutoff in a process (a bounded cache) and shared by every call
+    and kind."""
+    cutoff = _cutoff_index(cutoff)
     for kind in kinds:
         if kind not in FOCK_GRAM_KINDS:
             raise ValueError(f"kind must be one of {FOCK_GRAM_KINDS}, got {kind!r}")
@@ -618,7 +636,7 @@ def _fock_gram_fixed(rows, cols, cutoff: int, kinds) -> list:
     """Exact integer sums behind fock_gram_hp: per kind (re, im, frac_bits),
     where re + i im over 2^frac_bits is <r|O|c> for every row and column
     label, re and im object arrays of Python ints."""
-    if cutoff + 1 >= MAX_EXACT_DIM:
+    if _cutoff_index(cutoff) + 1 >= MAX_EXACT_DIM:
         raise ValueError(f"exact digit products need cutoff + 1 < {MAX_EXACT_DIM}, got cutoff {cutoff}")
     rows, cols, coeffs = _fixed_coefficients(rows, cols, cutoff, kinds)
     index = {label: i for i, label in enumerate(coeffs)}

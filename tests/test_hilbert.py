@@ -468,7 +468,7 @@ def test_fock_gram_fixed_is_exact_on_rectangular_grams_with_all_zero_labels():
 
     # at (60, -60) and (0, 90) every coefficient rounds to 0 at cutoff 16
     far = [(60.0, -60.0), (0.0, 90.0)]
-    assert all(_fixed_coherent(*label, 17, 135) == ([0] * 17, [0] * 17) for label in far)
+    assert all(_fixed_coherent(*label, 17, 135) == ((0,) * 17, (0,) * 17) for label in far)
     _assert_gram_fixed_is_exact([(0.3, -1.2), far[0], (2.0, 0.5)], [(-0.7, 0.1), (0.3, -1.2), far[1], (1.1, 1.1)], 16)
     _assert_gram_fixed_is_exact(far, far, 16)
 
@@ -599,7 +599,72 @@ def test_fixed_coherent_far_beyond_the_cutoff_rounds_to_zero():
 
     # every |c_n| with n <= 64 is below 2^-135 at both labels; at x = 1e200, x^2 overflows
     for p, x in ((40.0, 0.0), (0.0, 1e200)):
-        assert _fixed_coherent(p, x, 65, 135) == ([0] * 65, [0] * 65)
+        assert _fixed_coherent(p, x, 65, 135) == ((0,) * 65, (0,) * 65)
+
+
+@pytest.mark.parametrize("dim", [17, 65, 129, 513])
+def test_cached_fixed_coherent_equals_the_uncached_recursion(dim):
+    from qclimit.hilbert import FRAC_BITS, _fixed_coherent
+
+    rng = np.random.default_rng(dim)
+    # random labels, both signed zeros, and labels whose coefficients all round to 0
+    labels = [tuple(v) for v in rng.uniform(-4.0, 4.0, size=(6, 2))]
+    labels += [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (60.0, -60.0), (0.0, 1e200)]
+    _fixed_coherent.cache_clear()
+    for _ in range(2):  # a miss, then a hit
+        for p, x in labels:
+            got = _fixed_coherent(p, x, dim, FRAC_BITS)
+            assert type(got[0]) is type(got[1]) is tuple
+            assert got == _fixed_coherent.__wrapped__(p, x, dim, FRAC_BITS)
+    # the signed zeros share one entry: they have the same integer ratio (0, 1)
+    assert _fixed_coherent.cache_info().currsize == len(labels) - 3
+
+
+def test_an_overlap_and_its_x_and_p_elements_compute_each_label_once():
+    from qclimit.hilbert import _fixed_coherent
+
+    _fixed_coherent.cache_clear()
+    fock_overlap_hp(0.3, -1.2, 0.4, 2.0, 0.5, -0.1, cutoff=128)
+    for kind in ("X", "P"):
+        fock_matrix_element_hp(kind, 0.3, -1.2, 0.4, 2.0, 0.5, -0.1, cutoff=128)
+    assert (_fixed_coherent.cache_info().misses, _fixed_coherent.cache_info().hits) == (2, 4)
+
+
+def test_fixed_coherent_cache_is_bounded():
+    from qclimit.hilbert import _fixed_coherent
+
+    # one entry at dimension 4097 (FOCK_MAX_CUTOFF + 1) holds about 0.3 MB
+    assert _fixed_coherent.cache_info().maxsize == 32
+
+
+HP_SUMS = {
+    "overlap": lambda cutoff: fock_overlap_hp(0.1, 0.2, 0.0, 0.3, 0.4, 0.0, cutoff=cutoff),
+    "element": lambda cutoff: fock_matrix_element_hp("X", 0.1, 0.2, 0.0, 0.3, 0.4, 0.0, cutoff=cutoff),
+    "gram": lambda cutoff: fock_gram_hp([(0.1, 0.2)], [(0.3, 0.4)], cutoff, ("c", "P"))[1][0, 0],
+}
+
+
+@pytest.mark.parametrize("route", HP_SUMS)
+def test_hp_sums_take_numpy_integer_cutoffs(route):
+    assert HP_SUMS[route](np.int64(16)) == HP_SUMS[route](16)
+    assert HP_SUMS[route](np.uint8(1)) == HP_SUMS[route](1)
+
+
+@pytest.mark.parametrize("cutoff", [16.0, np.float64(16.0), -1, True, np.True_, "16"])
+@pytest.mark.parametrize("route", HP_SUMS)
+def test_hp_sums_refuse_a_cutoff_that_is_not_a_non_negative_integer(monkeypatch, route, cutoff):
+    from qclimit import hilbert
+
+    monkeypatch.setattr(hilbert, "_fixed_coherent", None)  # any coefficient work would raise TypeError
+    with pytest.raises(ValueError, match="cutoff must be a non-negative integer, got ") as refused:
+        HP_SUMS[route](cutoff)
+    assert str(refused.value).endswith(repr(cutoff))
+
+
+def test_hp_sums_take_cutoff_zero():
+    # one level: <0|0> = 1 and <0|X|0> = 0 at the vacuum label
+    assert fock_overlap_hp(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, cutoff=0) == 1.0
+    assert fock_gram_hp([(0.0, 0.0)], [(0.0, 0.0)], 0, ("c", "X")) == (np.ones((1, 1)), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("modes", [1, 3])

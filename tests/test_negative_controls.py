@@ -19,7 +19,7 @@ import pytest
 
 from qclimit import cli, contraction_lab, coset_rep, hilbert, lie_core, star_product
 
-CACHES = (star_product._monomial_star, hilbert._quadrature_bands, hilbert._x_spectrum)
+CACHES = (star_product._monomial_star, hilbert._quadrature_bands, hilbert._x_spectrum, hilbert._fixed_coherent)
 
 
 @pytest.fixture(autouse=True)
@@ -215,6 +215,20 @@ def conjugated_overlap_formula(monkeypatch):
     monkeypatch.setattr(hilbert, "coherent_overlap_formula", lambda *labels: genuine(*labels).conjugate())
 
 
+def scaled_fixed_exp(monkeypatch):
+    """_fixed_exp returns exp(z) (1 + 2^-20): the start c_0 of every
+    fixed-point coherent recursion and every fixed-point phase, so the exact
+    Fock sums that C04 and C05 check the closed forms against are off, not
+    the closed forms."""
+    genuine = hilbert._fixed_exp
+
+    def mutant(re_num, im_num, den, bits):
+        r, i = genuine(re_num, im_num, den, bits)
+        return r + (r >> 20), i + (i >> 20)
+
+    monkeypatch.setattr(hilbert, "_fixed_exp", mutant)
+
+
 def shifted_single_form(monkeypatch):
     """weyl_unitary(form="single") carries theta + 1e-6 as its global phase."""
     genuine = hilbert.weyl_unitary
@@ -277,6 +291,7 @@ MUTANTS = [
     (limit_keeps_eps1_terms, (2,), {"C02.canonical-pairs-commute", "C02.center-absent"}),
     (flipped_symplectic_phase, (3, 6), {"C03.group-law", "C06.group-law-on-vacuum"}),
     (conjugated_overlap_formula, (4, 5), {"C04.overlap-3d", "C04.overlap-grid-1d", "C05.element-grid-1d"}),
+    (scaled_fixed_exp, (4, 5), {"C04.overlap-3d", "C04.overlap-grid-1d", "C05.element-grid-1d"}),
     (shifted_single_form, (6,), {"C06.factored-vs-single"}),
     (negated_rotation_generator, (7,), {"C07.bracket-realization"}),
     (damped_predicted_overlap, (8, 9), {"C08.closed-form-decay"}),
@@ -320,6 +335,22 @@ def test_every_check_has_a_mutant_or_is_listed_uncontrolled():
 def test_mutant_fails_its_checks(monkeypatch, mutate, criteria, failing):
     mutate(monkeypatch)
     assert failing_ids(criteria) == failing
+
+
+def test_cleared_caches_keep_a_mutant_from_hiding_or_outliving_its_case(monkeypatch):
+    """What fresh_caches prevents, shown on _fixed_coherent: coefficients
+    cached by a genuine run hide scaled_fixed_exp from C04's grid check, and
+    coefficients cached under the mutant fail that check after the genuine
+    _fixed_exp is back."""
+    assert failing_ids((4, 5)) == set()
+    scaled_fixed_exp(monkeypatch)
+    assert failing_ids((4, 5)) == {"C04.overlap-3d", "C05.element-grid-1d"}
+    hilbert._fixed_coherent.cache_clear()
+    assert failing_ids((4, 5)) == {"C04.overlap-3d", "C04.overlap-grid-1d", "C05.element-grid-1d"}
+    monkeypatch.undo()
+    assert failing_ids((4, 5)) == {"C04.overlap-grid-1d"}
+    hilbert._fixed_coherent.cache_clear()
+    assert failing_ids((4, 5)) == set()
 
 
 def per_triple_defects() -> int:
