@@ -3,11 +3,13 @@
 The contracted generators are X_c = X/k and P_c = P/k, so [X_c, P_c] = i/k^2
 and 1/k^2 plays the role of an effective Planck constant.  A contracted label
 (p_c, x_c) is represented by the coherent state at the physical label
-(k p_c, k x_c); expectation values of the contracted quadratures then sit at
-the contracted label for every k, while overlaps between distinct labels decay
-like exp(-k^2 d^2/4) with d^2 the squared label separation.  The sweep below
-measures that decay on the Fock backend against the closed form and writes the
-records to CSV for inspection.
+(k p_c, k x_c), which relabel gives; expectation values of the contracted
+quadratures then sit at the contracted label for every k, while overlaps
+between distinct labels decay like exp(-k^2 d^2/4) with d^2 the squared label
+separation.  The sweep below measures that decay on the Fock backend against
+the closed form and writes the records to CSV for inspection; its Fock
+overlaps and the Fock Gram matrix take every pair of relabeled states at once
+(hilbert.coherent_pair_overlaps).
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from qclimit.hilbert import (
-    FockSpace,
-    StateVector,
     build_fock_space,
     coherent_overlap_formula,
+    coherent_pair_overlaps,
     coherent_state,
-    overlap,
 )
 
 CSV_COLUMNS = (
@@ -61,10 +61,11 @@ def required_cutoff(k: float, labels) -> int:
     return max(BASE_CUTOFF, int(math.ceil(4.0 * k * k * worst)))
 
 
-def relabel_coherent(space: FockSpace, k: float, p_c: float, x_c: float, theta: float = 0.0) -> StateVector:
-    """Coherent state whose contracted expectation values sit at (p_c, x_c)."""
+def relabel(k: float, p_c: float, x_c: float, theta: float = 0.0) -> tuple:
+    """The physical label (k p_c, k x_c, theta), whose coherent state has its
+    contracted expectation values at (p_c, x_c)."""
     hbar_effective(k)
-    return coherent_state(space, k * p_c, k * x_c, theta)
+    return (k * p_c, k * x_c, theta)
 
 
 def predicted_overlap(k: float, label1, label2) -> complex:
@@ -146,10 +147,9 @@ def overlap_decay_sweep(config: ContractionRunConfig) -> list[DecayRecord]:
             cutoff = required_cutoff(k, (l1, l2))
             records.append(_record(k, pair_id, closed, predicted, "closed_form", cutoff))
             if cutoff <= FOCK_MAX_CUTOFF:
-                space = build_fock_space(1, cutoff)
-                s1 = relabel_coherent(space, k, l1[0], l1[1], l1[2])
-                s2 = relabel_coherent(space, k, l2[0], l2[1], l2[2])
-                records.append(_record(k, pair_id, overlap(s1, s2), predicted, "fock", cutoff))
+                pair = (relabel(k, *l1), relabel(k, *l2))
+                (fock,) = coherent_pair_overlaps(build_fock_space(1, cutoff), (pair,))
+                records.append(_record(k, pair_id, fock, predicted, "fock", cutoff))
     return records
 
 
@@ -197,15 +197,16 @@ def eigenvalue_residual(k: float, p_c: float, x_c: float) -> dict:
     The exact value is sqrt(hbar_eff/2) = 1/(k sqrt(2)) for both quadratures,
     so the states localize on classical phase-space points as k grows.
     """
+    hbar = hbar_effective(k)
     cutoff = required_cutoff(k, ((p_c, x_c, 0.0),))
     space = build_fock_space(1, cutoff)
-    state = relabel_coherent(space, k, p_c, x_c)
+    state = coherent_state(space, *relabel(k, p_c, x_c))
     c = state.coefficients
     rx = float(np.linalg.norm(space.x_op() @ c / k - x_c * c))
     rp = float(np.linalg.norm(space.p_op() @ c / k - p_c * c))
     return {
         "k": float(k),
-        "hbar": hbar_effective(k),
+        "hbar": hbar,
         "residual_x": rx,
         "residual_p": rp,
         "predicted": 1.0 / (k * math.sqrt(2.0)),
@@ -216,10 +217,12 @@ def eigenvalue_residual(k: float, p_c: float, x_c: float) -> dict:
 def gram_matrix(k: float, labels):
     """Gram matrices of the relabeled family: (closed form, Fock), with Fock
     None when the cutoff policy exceeds FOCK_MAX_CUTOFF."""
+    hbar_effective(k)
     closed = np.array([[predicted_overlap(k, a, b) for b in labels] for a in labels])
     cutoff = required_cutoff(k, labels)
     if cutoff > FOCK_MAX_CUTOFF:
         return closed, None
-    space = build_fock_space(1, cutoff)
-    states = [relabel_coherent(space, k, p, x, t) for p, x, t in labels]
-    return closed, np.array([[overlap(a, b) for b in states] for a in states])
+    physical = [relabel(k, *label) for label in labels]
+    pairs = [(a, b) for a in physical for b in physical]
+    fock = coherent_pair_overlaps(build_fock_space(1, cutoff), pairs)
+    return closed, np.array(fock).reshape(len(labels), len(labels))

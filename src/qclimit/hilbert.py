@@ -1,5 +1,7 @@
 """Unitary representation on a truncated Fock space, with a 1D position-grid
-backend for cross-validation.
+backend for cross-validation.  A StateVector is a state on a FockSpace; the
+grid enters only through 1D pair overlaps (coherent_pair_overlaps,
+cross_validate_backends).
 
 Conventions, fixed once and used everywhere:
 
@@ -15,10 +17,12 @@ Per mode, everything is derived from one ladder vector sqrt(1..N), the
 superdiagonal of the truncated annihilator.  The coherent coefficients of a
 whole label set are one cumulative product, a row per label, of
 exp(-|alpha|^2/2) and alpha/sqrt(n); on the position grid a label set's
-wavefunctions are one broadcast exp.  One guard pass checks a label set for
-both backends, and a pair overlap is one vdot of two rows.  Every operator
-(x_op, p_op, the rotation generators j_axis_op, identity) is an
-OffsetOperator: per offset d between occupation tuples, the array of entries
+wavefunctions are one broadcast exp.  Every pair overlap <l1|l2> of a label
+set, on either backend or both at once, takes one guard pass over the set,
+builds its rows once per space and is one vdot of two rows; on the Fock
+backend that is bit for bit overlap() of the two coherent_state states.
+Every operator (x_op, p_op, the rotation generators j_axis_op, identity) is
+an OffsetOperator: per offset d between occupation tuples, the array of entries
 <r|A|r + d>, so a product of banded operators is a few shifted array
 products and an operator acts on a state with no matrix formed; matrix
 elements and the bracket check C07 go through the same operators.  The
@@ -303,8 +307,7 @@ def build_fock_space(modes: int, cutoff: int) -> FockSpace:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    backend: str
-    space: object
+    space: FockSpace
     coefficients: np.ndarray
     truncation_bound: float = 0.0
 
@@ -319,7 +322,7 @@ def _as_mode_vector(value, modes: int) -> np.ndarray:
 def vacuum_state(space: FockSpace) -> StateVector:
     c = np.zeros(space.dim, dtype=complex)
     c[0] = 1.0
-    return StateVector("fock", space, c)
+    return StateVector(space, c)
 
 
 def _mode_coherent_coeffs(alphas, dim: int) -> np.ndarray:
@@ -405,13 +408,11 @@ def coherent_state(space: FockSpace, p, x, theta: float = 0.0) -> StateVector:
     alphas = (x + 1j * p) / SQRT2
     vec = reduce(np.kron, _mode_coherent_coeffs(alphas, space.mode_dim)) * np.exp(1j * theta)
     kept_log = sum(math.log1p(-_poisson_tail(abs(alpha) ** 2, space.cutoff)) for alpha in alphas)
-    return StateVector("fock", space, vec, abs(math.expm1(kept_log)))
+    return StateVector(space, vec, abs(math.expm1(kept_log)))
 
 
 def overlap(s1: StateVector, s2: StateVector) -> complex:
     """<s1|s2>, conjugate-linear in the first argument."""
-    if s1.backend != s2.backend:
-        raise ValueError(f"backend mismatch: {s1.backend} vs {s2.backend}")
     if s1.space != s2.space:
         raise ValueError("states live on different spaces")
     return complex(np.vdot(s1.coefficients, s2.coefficients))
@@ -769,7 +770,7 @@ class WeylOperator:
     """Matrix-free product-form unitary: a global phase and, per mode, spectral
     steps (pre, alpha, post) = post * exp(i alpha X) * pre with diagonal phases
     pre and post (None: identity).  apply() forms no N x N factor and costs
-    O(N^2) per mode per vector (O(N^(m+1)) on m modes); matrix() is a test aid.
+    O(N^2) per mode per vector (O(N^(m+1)) on m modes).
     """
 
     space: FockSpace
@@ -777,21 +778,14 @@ class WeylOperator:
     steps: tuple
 
     def apply(self, state: StateVector) -> StateVector:
-        if state.backend != "fock" or state.space != self.space:
+        if state.space != self.space:
             raise ValueError("operator and state live on different spaces")
         n = self.space.mode_dim
         t = np.ascontiguousarray(state.coefficients, dtype=complex)
         for steps in self.steps:
             # the current mode leads; the transpose rotates the next one to the front
             t = _spectral_steps(steps, t.reshape(n, -1)).T
-        return StateVector("fock", self.space, self.phase * t.reshape(-1))
-
-    def matrix(self) -> np.ndarray:
-        """The dense unitary (a test aid): each mode's steps on the identity."""
-        m = self.phase * np.ones((1, 1))
-        for steps in self.steps:
-            m = np.kron(m, _spectral_steps(steps, np.eye(self.space.mode_dim, dtype=complex)))
-        return m
+        return StateVector(self.space, self.phase * t.reshape(-1))
 
 
 def weyl_unitary(space: FockSpace, p, x, theta: float = 0.0, form: str = "factored") -> WeylOperator:
@@ -926,37 +920,31 @@ def _coherent_rows(space, p: np.ndarray, x: np.ndarray, theta: np.ndarray) -> np
     return _mode_coherent_coeffs((x + 1j * p) / SQRT2, space.mode_dim) * np.exp(1j * theta)[:, None]
 
 
-def _pair_overlaps(rows: np.ndarray) -> list[complex]:
-    """<rows[2j]|rows[2j + 1]> for each j: one vdot per pair, as overlap takes it."""
-    return [complex(np.vdot(a, b)) for a, b in zip(rows[0::2], rows[1::2])]
+def _pair_overlaps(pairs, spaces) -> list[list[complex]]:
+    """Per space, <l1|l2> for each 1D label pair (l1, l2), l = (p, x, theta).
+    One guard pass (_check_labels) covers every space, so the first bad label
+    in input order raises; then each space builds all its rows at once, and
+    each overlap is one vdot of two rows, as overlap() takes it."""
+    if any(isinstance(space, FockSpace) and space.modes != 1 for space in spaces):
+        raise ValueError("pair overlaps are defined for the 1D backends")
+    labels = np.array(list(pairs), dtype=float).reshape(-1, 3)  # rows (p, x, theta), in input order
+    _check_labels(labels, spaces)
+    return [
+        [complex(np.vdot(a, b)) for a, b in zip(rows[0::2], rows[1::2])]
+        for rows in (_coherent_rows(space, *labels.T) for space in spaces)
+    ]
 
 
 def coherent_pair_overlaps(space, pairs) -> list[complex]:
     """<l1|l2> for each 1D label pair (l1, l2), l = (p, x, theta), on a
     1-mode FockSpace (bit for bit overlap() of the two coherent_state states)
-    or a GridSpace.  All states are built at once, after the space's guards
-    (_guard_failures) and a finiteness check: the first bad label in input
-    order raises."""
-    if isinstance(space, FockSpace) and space.modes != 1:
-        raise ValueError("pair overlaps are defined for the 1D backends")
-    labels = np.array(list(pairs), dtype=float).reshape(-1, 3)  # rows (p, x, theta), in input order
-    _check_labels(labels, (space,))
-    return _pair_overlaps(_coherent_rows(space, *labels.T))
+    or a GridSpace."""
+    return _pair_overlaps(pairs, (space,))[0]
 
 
-def cross_validate_backends(
-    pairs, space: FockSpace, grid: GridSpace
-) -> list[dict]:
-    """Overlap of each 1D label pair on both backends, with the difference.
-
-    One guard pass covers both backends, so the first bad label in input
-    order raises what the Fock or grid state would; then each backend builds
-    all its states at once."""
-    if space.modes != 1:
-        raise ValueError("cross-validation is defined for the 1D backends")
-    labels = np.array(list(pairs), dtype=float).reshape(-1, 3)  # rows (p, x, theta), in input order
-    _check_labels(labels, (space, grid))
-    fock, gridv = (_pair_overlaps(_coherent_rows(s, *labels.T)) for s in (space, grid))
+def cross_validate_backends(pairs, space: FockSpace, grid: GridSpace) -> list[dict]:
+    """Overlap of each 1D label pair on both backends, with the difference."""
+    fock, gridv = _pair_overlaps(pairs, (space, grid))
     return [
         {"pair_id": pair_id, "fock": f, "grid": g, "abs_diff": abs(f - g)}
         for pair_id, (f, g) in enumerate(zip(fock, gridv))

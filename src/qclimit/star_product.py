@@ -634,13 +634,11 @@ def classical_limit_sweep(f: PhasePolynomial, g: PhasePolynomial, seed: int, hba
     mb = moyal_bracket(f, g)
     pb = poisson_bracket(f, g)
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(25, 2 * f.dims))
+    pts = [(row[: f.dims], row[f.dims :]) for row in rng.uniform(-1.0, 1.0, size=(25, 2 * f.dims))]
+    classical = [pb.evaluate(xs, ps, 0.0) for xs, ps in pts]  # hbar-free: once per point
     records = []
     for hb in hbar_values:
-        errs = []
-        for row in pts:
-            xs, ps = row[: f.dims], row[f.dims :]
-            errs.append(abs(mb.evaluate(xs, ps, hb) - pb.evaluate(xs, ps, 0.0)))
+        errs = [abs(mb.evaluate(xs, ps, hb) - c) for (xs, ps), c in zip(pts, classical)]
         # np.max, unlike max(), propagates NaN
         records.append({"hbar": float(hb), "max_abs_err": float(np.max(errs))})
     usable = [(r["hbar"], r["max_abs_err"]) for r in records if r["max_abs_err"] > 0.0]

@@ -312,8 +312,6 @@ def test_each_law_has_one_implementation(tmp_path, monkeypatch):
         assert run(*argv)[name] >= 1, argv
 
 
-# src/ code that only tests reach on purpose: the dense unitary is the tests' reference for apply()
-TEST_REFERENCES = {"hilbert.WeylOperator.matrix"}
 # definitions that share a bare name, each checked by hand to be reached
 SHARED_NAMES = {("hilbert.FockSpace.dim", "hilbert.OffsetOperator.dim")}
 
@@ -367,7 +365,7 @@ def test_src_has_no_test_only_code(monkeypatch):
         for qualified, _, trees in new:
             reached.add(qualified)
             live |= _names(trees)
-    unreached = [qualified for qualified, _, _ in defs if qualified not in reached | TEST_REFERENCES]
+    unreached = [qualified for qualified, _, _ in defs if qualified not in reached]
     assert unreached == [], f"reached only from tests: {unreached}"
 
 

@@ -15,11 +15,19 @@ from qclimit.contraction_lab import (
     hbar_effective,
     overlap_decay_sweep,
     predicted_overlap,
-    relabel_coherent,
+    relabel,
     required_cutoff,
     write_decay_csv,
 )
-from qclimit.hilbert import build_fock_space, coherent_overlap_formula, matrix_element, overlap
+from qclimit import contraction_lab
+from qclimit.hilbert import (
+    build_fock_space,
+    coherent_overlap_formula,
+    coherent_pair_overlaps,
+    coherent_state,
+    matrix_element,
+    overlap,
+)
 
 
 def test_effective_hbar_mapping():
@@ -46,7 +54,7 @@ def test_relabeled_state_sits_at_contracted_labels():
     for k in (1.0, 2.0, 4.0):
         cutoff = required_cutoff(k, ((0.4, -0.6, 0.0),))
         space = build_fock_space(1, cutoff)
-        s = relabel_coherent(space, k, 0.4, -0.6)
+        s = coherent_state(space, *relabel(k, 0.4, -0.6))
         assert abs(matrix_element(space, "X", 1, s, s).real / k - (-0.6)) < 1e-12
         assert abs(matrix_element(space, "P", 1, s, s).real / k - 0.4) < 1e-12
 
@@ -105,6 +113,57 @@ def test_sweep_skips_fock_beyond_cutoff_budget():
     assert abs(abs(closed[0, 1]) - math.exp(-0.25 * 33.0**2)) <= 1e-12 * math.exp(-0.25 * 33.0**2)
 
 
+# the canonical pair, and one with momenta, phases and both signs
+SWEEP_PAIRS = (canonical_pair(), ((0.3, -0.2, 0.5), (-0.1, 0.4, -0.7)))
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+def test_sweep_pair_overlaps_equal_the_per_state_overlap(k):
+    """The Fock records rest on coherent_pair_overlaps equalling overlap() of
+    two coherent_state states bit for bit, at every cutoff the sweep uses."""
+    records = overlap_decay_sweep(ContractionRunConfig(k_values=(k,), pairs=SWEEP_PAIRS))
+    fock = [r for r in records if r.backend == "fock"]
+    assert [r.pair_id for r in fock] == [0, 1]
+    for r, (l1, l2) in zip(fock, SWEEP_PAIRS):
+        space = build_fock_space(1, required_cutoff(k, (l1, l2)))
+        a, b = relabel(k, *l1), relabel(k, *l2)
+        want = overlap(coherent_state(space, *a), coherent_state(space, *b))
+        assert coherent_pair_overlaps(space, [(a, b)]) == [want]
+        assert (r.cutoff, r.overlap_abs, r.overlap_phase) == (space.cutoff, abs(want), float(np.angle(want)))
+    assert fock[0].cutoff == max(64, int(4 * k * k))
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 6.0])
+def test_gram_fock_entries_equal_the_per_state_loop(k):
+    labels = ((0.0, 0.0, 0.0), (0.2, -0.5, 0.4), (-0.3, 0.1, -1.1))
+    _, fock = gram_matrix(k, labels)
+    space = build_fock_space(1, required_cutoff(k, labels))
+    states = [coherent_state(space, *relabel(k, *label)) for label in labels]
+    assert np.array_equal(fock, np.array([[overlap(a, b) for b in states] for a in states]))
+
+
+def test_relabel_scales_the_contracted_label():
+    assert relabel(4.0, 0.25, -0.5, 0.3) == (1.0, -2.0, 0.3)
+    assert relabel(2.0, 1.0, 1.0) == (2.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="k >= 1"):
+        relabel(0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("labels", [((0.0, 100.0, 0.0), (0.0, 99.0, 0.0)), canonical_pair()], ids=["far", "near"])
+def test_k_below_one_is_refused_before_any_space_is_built(monkeypatch, labels):
+    """Far labels skip the Fock route (cutoff 10,000 at k = 0.5), so the
+    check of k cannot wait for the relabeling."""
+
+    def no_space(*args):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(contraction_lab, "build_fock_space", no_space)
+    with pytest.raises(ValueError, match="k >= 1"):
+        gram_matrix(0.5, labels)
+    with pytest.raises(ValueError, match="k >= 1"):
+        eigenvalue_residual(0.5, *labels[0][:2])
+
+
 def test_decay_slope_matches_quarter_rate():
     config = ContractionRunConfig(
         k_values=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0), pairs=(canonical_pair(),)
@@ -147,11 +206,11 @@ def test_matrix_element_ratio_is_k_independent():
     for k in (1.0, 2.0, 4.0, 6.0, 8.0):
         cutoff = required_cutoff(k, (l1, l2))
         space = build_fock_space(1, cutoff)
-        s1 = relabel_coherent(space, k, *l1)
-        s2 = relabel_coherent(space, k, *l2)
+        s1 = coherent_state(space, *relabel(k, *l1))
+        s2 = coherent_state(space, *relabel(k, *l2))
         ratio = matrix_element(space, "X", 1, s1, s2) / overlap(s1, s2) / k
         assert abs(ratio - want) < 1e-8
-        s = relabel_coherent(space, k, 0.4, -0.25)
+        s = coherent_state(space, *relabel(k, 0.4, -0.25))
         diag = matrix_element(space, "X", 1, s, s).real / k
         assert abs(diag - (-0.25)) < 1e-10
 

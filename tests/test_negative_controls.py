@@ -172,9 +172,9 @@ def limit_without_j23_x2(monkeypatch):
 
 
 def stretched_relabel(monkeypatch):
-    """relabel_coherent scales the labels by 1.05 k instead of k."""
-    genuine = contraction_lab.relabel_coherent
-    monkeypatch.setattr(contraction_lab, "relabel_coherent", lambda space, k, *label: genuine(space, 1.05 * k, *label))
+    """relabel scales the labels by 1.05 k instead of k."""
+    genuine = contraction_lab.relabel
+    monkeypatch.setattr(contraction_lab, "relabel", lambda k, *label: genuine(1.05 * k, *label))
 
 
 def short_sqrt2(monkeypatch):

@@ -605,6 +605,31 @@ def test_classical_limit_sweep_slope():
     assert out["exact"] is False
 
 
+def test_classical_limit_sweep_evaluates_the_poisson_bracket_once_per_point(monkeypatch):
+    """The hbar-free Poisson bracket is evaluated at each of the 25 points
+    once, not once per hbar, and the records are those of the per-hbar loop."""
+    x, p = _x(), _p()
+    f, g = x * x * x, p * p * p
+    hbars = (1e-1, 1e-2, 1e-3)
+    mb, pb = moyal_bracket(f, g), poisson_bracket(f, g)
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(25, 2))
+    want = []
+    for hb in hbars:
+        errs = [abs(mb.evaluate(r[:1], r[1:], hb) - pb.evaluate(r[:1], r[1:], 0.0)) for r in pts]
+        want.append({"hbar": hb, "max_abs_err": float(np.max(errs))})
+    calls = collections.Counter()
+    genuine = PhasePolynomial.evaluate
+
+    def counted(self, xs, ps, hbar):
+        calls[hbar == 0.0] += 1
+        return genuine(self, xs, ps, hbar)
+
+    monkeypatch.setattr(PhasePolynomial, "evaluate", counted)
+    out = classical_limit_sweep(f, g, seed=7, hbar_values=hbars)
+    assert out["records"] == want
+    assert calls == {True: 25, False: 75}
+
+
 def test_classical_limit_sweep_keeps_nan_error():
     x, p = _x(), _p()
     out = classical_limit_sweep(x * x * x, p * p * p, seed=7, hbar_values=(math.nan, 1e-2, 1e-3))
