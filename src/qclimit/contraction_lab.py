@@ -7,9 +7,9 @@ and 1/k^2 plays the role of an effective Planck constant.  A contracted label
 quadratures then sit at the contracted label for every k, while overlaps
 between distinct labels decay like exp(-k^2 d^2/4) with d^2 the squared label
 separation.  The sweep below measures that decay on the Fock backend against
-the closed form and writes the records to CSV for inspection; its Fock
-overlaps and the Fock Gram matrix take every pair of relabeled states at once
-(hilbert.coherent_pair_overlaps).
+the closed form and writes the records to CSV for inspection; both records
+take their labels from relabel.  Its Fock overlaps and the Fock Gram matrix
+take every pair of relabeled states at once (hilbert.coherent_pair_overlaps).
 """
 
 from __future__ import annotations
@@ -141,13 +141,11 @@ def overlap_decay_sweep(config: ContractionRunConfig) -> list[DecayRecord]:
     for k in config.k_values:
         for pair_id, (l1, l2) in enumerate(config.pairs):
             predicted = predicted_overlap(k, l1, l2)
-            closed = coherent_overlap_formula(
-                k * l1[0], k * l1[1], l1[2], k * l2[0], k * l2[1], l2[2]
-            )
+            pair = (relabel(k, *l1), relabel(k, *l2))
+            closed = coherent_overlap_formula(*pair[0], *pair[1])
             cutoff = required_cutoff(k, (l1, l2))
             records.append(_record(k, pair_id, closed, predicted, "closed_form", cutoff))
             if cutoff <= FOCK_MAX_CUTOFF:
-                pair = (relabel(k, *l1), relabel(k, *l2))
                 (fock,) = coherent_pair_overlaps(build_fock_space(1, cutoff), (pair,))
                 records.append(_record(k, pair_id, fock, predicted, "fock", cutoff))
     return records

@@ -923,15 +923,21 @@ def _coherent_rows(space, p: np.ndarray, x: np.ndarray, theta: np.ndarray) -> np
 def _pair_overlaps(pairs, spaces) -> list[list[complex]]:
     """Per space, <l1|l2> for each 1D label pair (l1, l2), l = (p, x, theta).
     One guard pass (_check_labels) covers every space, so the first bad label
-    in input order raises; then each space builds all its rows at once, and
-    each overlap is one vdot of two rows, as overlap() takes it."""
+    in input order raises; then each space builds one row per distinct label,
+    all at once, and each overlap is one vdot of two rows, as overlap() takes
+    it."""
     if any(isinstance(space, FockSpace) and space.modes != 1 for space in spaces):
         raise ValueError("pair overlaps are defined for the 1D backends")
     labels = np.array(list(pairs), dtype=float).reshape(-1, 3)  # rows (p, x, theta), in input order
     _check_labels(labels, spaces)
+    # labels told apart by their 24 bytes, so that 0.0 and -0.0 keep rows of their own
+    raw, row_of = labels.tobytes(), {}
+    index = [row_of.setdefault(raw[i : i + 24], len(row_of)) for i in range(0, len(raw), 24)]
+    distinct = np.frombuffer(b"".join(row_of)).reshape(-1, 3)
+    pair_rows = list(zip(index[0::2], index[1::2]))
     return [
-        [complex(np.vdot(a, b)) for a, b in zip(rows[0::2], rows[1::2])]
-        for rows in (_coherent_rows(space, *labels.T) for space in spaces)
+        [complex(np.vdot(rows[a], rows[b])) for a, b in pair_rows]
+        for rows in (_coherent_rows(space, *distinct.T) for space in spaces)
     ]
 
 

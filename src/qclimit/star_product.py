@@ -34,7 +34,12 @@ is twice the odd-order part of f * g: Moyal's sine bracket.
 `moyal_bracket` therefore takes one pass over the odd orders of f * g
 instead of forming both products.  Each pair of monomial keys is expanded
 once and cached with its odd-order entries split out, so `star` and
-`moyal_bracket` share one cache entry per pair.
+`moyal_bracket` share one cache entry per pair.  Two caches hold them.  The
+per-axis cache (16,384 entries) holds every one-axis table, and so the whole
+expansion of every 1D key pair.  Pairs over several axes have a cache of
+their own (4,096 entries).  Each is built from the per-axis tables of its
+coupled axes only, those where x of one key meets p of the other.  So the
+many new pairs of a 3D product never evict a 1D expansion.
 
 The exact law checks batch many products into one call in hbar bands
 (Kronecker substitution on the exponent of hbar; Harvey, J. Symb. Comput.
@@ -306,20 +311,27 @@ class PhasePolynomial:
         if not self.nums:
             return "0"
         den = self.den
+        written = {}  # numerators repeat across terms, so each is written once
 
         def part(n: int) -> str:
             """n / den in lowest terms, as str(Fraction(n, den)) writes it."""
-            g = math.gcd(n, den)
-            return str(n // g) if g == den else f"{n // g}/{den // g}"
+            text = written.get(n)
+            if text is None:
+                g = math.gcd(n, den)
+                text = written[n] = str(n // g) if g == den else f"{n // g}/{den // g}"
+            return text
 
+        # factors[slot][e]: the factor for exponent e >= 1 of the slot
+        top = max(map(max, self.nums))
+        factors = [
+            ["", name] + [f"{name}^{e}" for e in range(2, top + 1)]
+            for name in map(self._var_name, range(2 * self.dims + 1))
+        ]
+        keys = sorted(self.nums)
+        keys.sort(key=sum)  # stable: by total degree, then by key
         pieces = []
-        for key in sorted(self.nums, key=lambda k: (sum(k), k)):
-            factors = []
-            for slot, e in enumerate(key):
-                if e == 1:
-                    factors.append(self._var_name(slot))
-                elif e > 1:
-                    factors.append(f"{self._var_name(slot)}^{e}")
+        for key in keys:
+            body = "*".join([names[e] for names, e in zip(factors, key) if e])
             re, im = self.nums[key]
             if not im:
                 cs = part(re)
@@ -327,7 +339,6 @@ class PhasePolynomial:
                 cs = "i" if im == den else "-i" if im == -den else f"{part(im)}*i"
             else:
                 cs = f"({part(re)}{'+' if im > 0 else '-'}{part(abs(im))}*i)"
-            body = "*".join(factors)
             if not body:
                 pieces.append(cs)
             elif cs == "1":
@@ -415,36 +426,58 @@ def from_text(dims: int, text: str) -> PhasePolynomial:
 
 @lru_cache(maxsize=1 << 14)
 def _axis_star(a: int, b: int, c: int, d: int) -> tuple:
-    """x^a p^b * x^c p^d on one axis, without the factor (i hbar / 2)^n.
+    """x^a p^b * x^c p^d on one axis, without the factor (i hbar / 2)^n, as
+    (every entry, the odd-order entries).
 
-    Entries are (x exponent a+c-n, p exponent b+d-n, order n, integer sum over
-    j + l = n of (-1)^l C(a, j) (d)_j C(b, l) (c)_l), with (d)_j the falling
-    factorial, in ascending n; orders whose sum is zero are dropped.
+    Entries are ((a+c-n, b+d-n), order n, integer sum over j + l = n of
+    (-1)^l C(a, j) (d)_j C(b, l) (c)_l), with (d)_j the falling factorial, in
+    ascending n; orders whose sum is zero are dropped.  The order-0 entry is
+    always there, with sum 1, and it is the only one unless the axis couples
+    x to p (a and d, or b and c).
     """
     sums = {}
     for j in range(min(a, d) + 1):
         for l in range(min(b, c) + 1):
             term = (-1) ** l * math.comb(a, j) * math.perm(d, j) * math.comb(b, l) * math.perm(c, l)
             sums[j + l] = sums.get(j + l, 0) + term
-    return tuple((a + c - n, b + d - n, n, s) for n, s in sums.items() if s)
+    out = tuple([((a + c - n, b + d - n), n, s) for n, s in sums.items() if s])
+    return out, tuple([entry for entry in out if entry[1] & 1])
 
 
 @lru_cache(maxsize=1 << 12)
-def _monomial_star(f_xp: tuple, g_xp: tuple) -> tuple:
-    """Per-axis expansions of two hbar-free keys multiplied across axes, as
-    (every entry, the odd-order entries), each entry (x and p exponents, n,
-    integer); `star` and `moyal_bracket` share one cache entry per key pair."""
+def _multi_axis_star(f_xp: tuple, g_xp: tuple) -> tuple:
+    """_monomial_star over two or more axes: the product of the per-axis
+    sums.  Every axis's order-0 entry is 1, so the product starts from the
+    summed key at order 0 with coefficient 1.  An axis without x-p coupling
+    has that entry alone; each coupled axis adds, after every entry built so
+    far, one entry per order m >= 1 of its table, its x and p exponents
+    lowered by m."""
     dims = len(f_xp) // 2
-    out = [((), (), 0, 1)]
-    for axis in range(dims):
-        table = _axis_star(f_xp[axis], f_xp[dims + axis], g_xp[axis], g_xp[dims + axis])
-        out = [
-            (xs + (xe,), ps + (pe,), n + m, c * e)
-            for xs, ps, n, c in out
-            for xe, pe, m, e in table
-        ]
-    out = tuple((xs + ps, n, c) for xs, ps, n, c in out)
-    return out, tuple(entry for entry in out if entry[1] & 1)
+    out = [([e + h for e, h in zip(f_xp, g_xp)], 0, 1)]
+    for axis, a, c, b, d in zip(range(dims), f_xp, g_xp, f_xp[dims:], g_xp[dims:]):
+        if a and d or b and c:
+            table = _axis_star(a, b, c, d)[0][1:]
+            grown = []
+            for key, n, s in out:
+                grown.append((key, n, s))
+                for (xe, pe), m, e in table:
+                    lowered = key.copy()
+                    lowered[axis], lowered[dims + axis] = xe, pe
+                    grown.append((lowered, n + m, s * e))
+            out = grown
+    out = tuple([(tuple(key), n, s) for key, n, s in out])
+    return out, tuple([entry for entry in out if entry[1] & 1])
+
+
+def _monomial_star(f_xp: tuple, g_xp: tuple) -> tuple:
+    """The expansion of two hbar-free keys, as (every entry, the odd-order
+    entries), each entry (x and p exponents, n, integer), over the product of
+    the per-axis sums; `star` and `moyal_bracket` share one cache entry per
+    key pair.  One axis reads _axis_star's cache, several read their own, so
+    that multi-axis pairs never evict one-axis ones."""
+    if len(f_xp) == 2:
+        return _axis_star(*f_xp, *g_xp)
+    return _multi_axis_star(f_xp, g_xp)
 
 
 def _star_numerators(f: PhasePolynomial, g: PhasePolynomial, odd_only: bool) -> tuple:
@@ -454,25 +487,28 @@ def _star_numerators(f: PhasePolynomial, g: PhasePolynomial, odd_only: bool) -> 
     top = min(max(map(sum, f.nums), default=0), max(map(sum, g.nums), default=0))
     g_terms = [(k[:-1], k[-1], re, im) for k, (re, im) in g.nums.items()]
     acc = {}
+    expand, get = _monomial_star, acc.get
     for f_key, (fr, fi) in f.nums.items():
-        f_xp = f_key[:-1]
+        f_xp, f_hbar = f_key[:-1], f_key[-1]
         for g_xp, g_hbar, gr, gi in g_terms:
             re, im = fr * gr - fi * gi, fr * gi + fi * gr
-            # (re + i im) * i^n, indexed by n mod 4
-            turns = ((re, im), (-im, re), (-re, -im), (im, -re))
-            hbar = f_key[-1] + g_hbar
+            hbar = f_hbar + g_hbar
             # index 1 (True) picks the odd-order entries
-            for xp, n, c in _monomial_star(f_xp, g_xp)[odd_only]:
-                tr, ti = turns[n & 3]
-                # (i hbar / 2)^n = i^n hbar^n 2^(top - n) / 2^top
-                c <<= top - n
+            for xp, n, c in expand(f_xp, g_xp)[odd_only]:
+                # (i hbar / 2)^n = i^n hbar^n 2^(top - n) / 2^top, with i^n = (-1)^(n // 2) i^(n % 2)
+                c = -(c << (top - n)) if n & 2 else c << (top - n)
                 key = xp + (hbar + n,)
-                entry = acc.get(key)
-                if entry is None:
-                    acc[key] = [c * tr, c * ti]
+                entry = get(key)
+                # c i^(n % 2) (re + i im)
+                if n & 1:
+                    tr, ti = -c * im, c * re
                 else:
-                    entry[0] += c * tr
-                    entry[1] += c * ti
+                    tr, ti = c * re, c * im
+                if entry is None:
+                    acc[key] = [tr, ti]
+                else:
+                    entry[0] += tr
+                    entry[1] += ti
     return acc, (f.den * g.den) << top
 
 

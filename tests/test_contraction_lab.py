@@ -19,7 +19,7 @@ from qclimit.contraction_lab import (
     required_cutoff,
     write_decay_csv,
 )
-from qclimit import contraction_lab
+from qclimit import contraction_lab, hilbert
 from qclimit.hilbert import (
     build_fock_space,
     coherent_overlap_formula,
@@ -134,9 +134,14 @@ def test_sweep_pair_overlaps_equal_the_per_state_overlap(k):
 
 
 @pytest.mark.parametrize("k", [1.0, 2.0, 6.0])
-def test_gram_fock_entries_equal_the_per_state_loop(k):
+def test_gram_fock_entries_equal_the_per_state_loop(monkeypatch, k):
+    """One row per label for all nine entries, each the per-state overlap."""
     labels = ((0.0, 0.0, 0.0), (0.2, -0.5, 0.4), (-0.3, 0.1, -1.1))
+    rows = []
+    genuine = hilbert._coherent_rows
+    monkeypatch.setattr(hilbert, "_coherent_rows", lambda space, p, *rest: rows.append(len(p)) or genuine(space, p, *rest))
     _, fock = gram_matrix(k, labels)
+    assert rows == [3]
     space = build_fock_space(1, required_cutoff(k, labels))
     states = [coherent_state(space, *relabel(k, *label)) for label in labels]
     assert np.array_equal(fock, np.array([[overlap(a, b) for b in states] for a in states]))

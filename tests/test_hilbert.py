@@ -1111,6 +1111,28 @@ def test_backend_cross_validation():
     assert records == want
 
 
+def test_pair_overlaps_build_one_row_per_distinct_label(monkeypatch):
+    """Each space builds one row per distinct label, however many pairs hold
+    it; 0.0 and -0.0 are distinct labels.  The overlaps stay those of one
+    state per label, bit for bit."""
+    from qclimit import hilbert
+
+    space, grid = build_fock_space(1, 64), GridSpace(10.0, 160)
+    a, b, c, signed = (0.5, -0.25, 0.3), (-1.0, 0.75, -0.2), (0.0, 1.0, 0.0), (-0.0, 1.0, 0.0)
+    pairs = [(a, b), (b, a), (a, a), (c, signed), (b, c), (a, b)]
+    rows = []
+    genuine = hilbert._coherent_rows
+    monkeypatch.setattr(hilbert, "_coherent_rows", lambda on, p, *rest: rows.append(len(p)) or genuine(on, p, *rest))
+    records = cross_validate_backends(pairs, space, grid)
+    assert rows == [4, 4]
+    assert coherent_pair_overlaps(space, pairs) == [r["fock"] for r in records]
+    assert coherent_pair_overlaps(grid, pairs) == [r["grid"] for r in records]
+    assert rows == [4, 4, 4, 4]
+    for r, (l1, l2) in zip(records, pairs, strict=True):
+        assert r["fock"] == overlap(coherent_state(space, *l1), coherent_state(space, *l2))
+        assert r["grid"] == overlap(grid_coherent_state(grid, *l1), grid_coherent_state(grid, *l2))
+
+
 def test_grid_overlap_errors_equal_the_per_label_route():
     from qclimit import cli
 

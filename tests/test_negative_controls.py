@@ -19,7 +19,13 @@ import pytest
 
 from qclimit import cli, contraction_lab, coset_rep, hilbert, lie_core, star_product
 
-CACHES = (star_product._monomial_star, hilbert._quadrature_bands, hilbert._x_spectrum, hilbert._fixed_coherent)
+CACHES = (
+    star_product._axis_star,
+    star_product._multi_axis_star,
+    hilbert._quadrature_bands,
+    hilbert._x_spectrum,
+    hilbert._fixed_coherent,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -127,10 +133,10 @@ def p_star_x4_order1(monkeypatch):
     genuine = star_product._axis_star
 
     def mutant(a, b, c, d):
-        table = genuine(a, b, c, d)
+        parts = genuine(a, b, c, d)
         if (a, b, c, d) != (0, 1, 4, 0):
-            return table
-        return tuple((xe, pe, n, s + 1 if n == 1 else s) for xe, pe, n, s in table)
+            return parts
+        return tuple(tuple((xp, n, s + 1 if n == 1 else s) for xp, n, s in part) for part in parts)
 
     monkeypatch.setattr(star_product, "_axis_star", mutant)
 
@@ -299,6 +305,7 @@ MUTANTS = [
         stretched_relabel,
         (8, 9),
         {
+            "C08.closed-form-decay",
             "C08.fock-decay",
             "C08.decay-slope",
             "C09.element-ratio",

@@ -251,6 +251,66 @@ def test_to_text_matches_the_crat_formatter():
             assert poly.to_text() == _reference_to_text(poly)
 
 
+def _per_factor_to_text(poly: PhasePolynomial) -> str:
+    """to_text as it was written before its slot-name table: _var_name per
+    factor and sorted on (total degree, key)."""
+    if not poly.nums:
+        return "0"
+    den = poly.den
+
+    def part(n: int) -> str:
+        g = math.gcd(n, den)
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+    pieces = []
+    for key in sorted(poly.nums, key=lambda k: (sum(k), k)):
+        factors = []
+        for slot, e in enumerate(key):
+            if e == 1:
+                factors.append(poly._var_name(slot))
+            elif e > 1:
+                factors.append(f"{poly._var_name(slot)}^{e}")
+        re, im = poly.nums[key]
+        if not im:
+            cs = part(re)
+        elif not re:
+            cs = "i" if im == den else "-i" if im == -den else f"{part(im)}*i"
+        else:
+            cs = f"({part(re)}{'+' if im > 0 else '-'}{part(abs(im))}*i)"
+        body = "*".join(factors)
+        if not body:
+            pieces.append(cs)
+        elif cs == "1":
+            pieces.append(body)
+        elif cs == "-1":
+            pieces.append("-" + body)
+        else:
+            pieces.append(f"{cs}*{body}")
+    return " + ".join(pieces).replace(" + -", " - ")
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_to_text_equals_the_per_factor_writer(dims):
+    """Random polynomials with exponents up to 12 in every slot, hbar too,
+    their products and brackets, and the edge cases: the same text as the
+    writer that named each factor on its own."""
+    rng = np.random.default_rng(808 + dims)
+    width = 2 * dims + 1
+    for _ in range(40):
+        terms = {}
+        for _ in range(int(rng.integers(1, 12))):
+            key = tuple(int(e) for e in rng.integers(0, 13, size=width) * (rng.random(width) < 0.5))
+            terms[key] = CRat(
+                Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 7))),
+                Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 7))),
+            )
+        poly = PhasePolynomial(dims, terms)
+        assert poly.to_text() == _per_factor_to_text(poly)
+    f, g = (_rational_poly(rng, dims, 4, 6) for _ in range(2))
+    for poly in (star(f, g), moyal_bracket(f, g), PhasePolynomial.zero(dims), PhasePolynomial.one(dims), -_hbar(dims)):
+        assert poly.to_text() == _per_factor_to_text(poly)
+
+
 def test_text_parsing_rejects_non_polynomials():
     rejected = [
         "sin(x)",
@@ -435,21 +495,73 @@ def test_axis_star_sums_each_order_once():
                 coeff = (-1) ** l * math.comb(a, j) * math.perm(d, j) * math.comb(b, l) * math.perm(c, l)
                 key = (a - j + c - l, b - l + d - j, j + l)
                 grouped[key] = grouped.get(key, 0) + coeff
-        want = sorted(((*key, s) for key, s in grouped.items() if s), key=lambda entry: entry[2])
-        assert list(star_product._axis_star(a, b, c, d)) == want
+        want = sorted((((x, p), n, s) for (x, p, n), s in grouped.items() if s), key=lambda entry: entry[1])
+        assert star_product._axis_star(a, b, c, d) == (tuple(want), tuple(entry for entry in want if entry[1] % 2))
     # x p * x p: the two order-1 terms cancel
-    assert [n for _, _, n, _ in star_product._axis_star(1, 1, 1, 1)] == [0, 2]
+    assert [n for _, n, _ in star_product._axis_star(1, 1, 1, 1)[0]] == [0, 2]
 
 
 def test_star_and_bracket_share_one_expansion_per_key_pair():
     rng = np.random.default_rng(505)
     f, g = _rational_poly(rng, 3, 4, 4), _rational_poly(rng, 3, 4, 4)
-    star_product._monomial_star.cache_clear()
+    star_product._multi_axis_star.cache_clear()
     star(f, g)
-    info = star_product._monomial_star.cache_info()
+    info = star_product._multi_axis_star.cache_info()
     assert info.misses == len({k[:-1] for k in f.nums}) * len({k[:-1] for k in g.nums})
     moyal_bracket(f, g)
-    assert star_product._monomial_star.cache_info().misses == info.misses
+    assert star_product._multi_axis_star.cache_info().misses == info.misses
+
+
+def _double_sum_expansion(f_xp, g_xp):
+    """_monomial_star rebuilt from the module docstring: per axis, every (j, l)
+    of its double sum, multiplied across axes and grouped by the tuple of
+    per-axis orders, in ascending tuples; a group whose sum is zero drops."""
+    dims = len(f_xp) // 2
+    grouped = {}
+    axes = [(f_xp[i], f_xp[dims + i], g_xp[i], g_xp[dims + i]) for i in range(dims)]
+    per_axis = [list(itertools.product(range(min(a, d) + 1), range(min(b, c) + 1))) for a, b, c, d in axes]
+    for jl in itertools.product(*per_axis):
+        coeff = 1
+        for (a, b, c, d), (j, l) in zip(axes, jl):
+            coeff *= (-1) ** l * math.comb(a, j) * math.perm(d, j) * math.comb(b, l) * math.perm(c, l)
+        orders = tuple(j + l for j, l in jl)
+        grouped[orders] = grouped.get(orders, 0) + coeff
+    entries = []
+    for orders in sorted(grouped):
+        if grouped[orders]:
+            xs = tuple(a + c - n for (a, _, c, _), n in zip(axes, orders))
+            ps = tuple(b + d - n for (_, b, _, d), n in zip(axes, orders))
+            entries.append((xs + ps, sum(orders), grouped[orders]))
+    return tuple(entries), tuple(entry for entry in entries if entry[1] % 2)
+
+
+@pytest.mark.parametrize(("dims", "degree"), [(1, 6), (2, 3), (3, 3)])
+def test_monomial_star_equals_the_double_sum(dims, degree):
+    """Both parts of every monomial pair's expansion, the one-axis pairs read
+    from the per-axis cache and the others built from their coupled axes.  A
+    pair without x-p coupling on any axis is its summed key at order 0."""
+    keys = [key for m in monomial_basis(dims, degree) for key in m.nums]
+    for f_key, g_key in itertools.product(keys, repeat=2):
+        f_xp, g_xp = f_key[:-1], g_key[:-1]
+        got = star_product._monomial_star(f_xp, g_xp)
+        assert got == _double_sum_expansion(f_xp, g_xp)
+        if not any(f_xp[i] and g_xp[dims + i] or f_xp[dims + i] and g_xp[i] for i in range(dims)):
+            assert got == (((tuple(e + h for e, h in zip(f_xp, g_xp)), 0, 1),), ())
+
+
+def test_three_axis_products_leave_the_one_axis_expansions_cached():
+    """A 3D product over more than the multi-axis cache's 4,096 key pairs
+    leaves every 1D expansion in the per-axis cache: repeating a 1D product
+    after it misses neither cache."""
+    caches = (star_product._axis_star, star_product._multi_axis_star)
+    one = _rational_poly(np.random.default_rng(606), 1, 6, 8)
+    star(one, one)
+    basis = sum(monomial_basis(3, 3), PhasePolynomial.zero(3))
+    assert len(basis.nums) ** 2 > caches[1].cache_info().maxsize == 4096
+    star(basis, basis)
+    misses = [cache.cache_info().misses for cache in caches]
+    star(one, one)
+    assert [cache.cache_info().misses for cache in caches] == misses
 
 
 def test_star_is_associative_on_random_triples():
